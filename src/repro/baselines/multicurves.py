@@ -7,9 +7,9 @@ nu=128 at 8 bytes/dim only ~3 entries fit a 4 KB page, the paper's Sec. 3.2
 argument and the 1.2 TB index of Sec. 5.4.3). A query takes the alpha
 nearest-by-key entries per curve and re-ranks the union by exact distance.
 
-Reuses the Hilbert substrate and the RDB-tree leaf bucketing / fence
-hierarchy with the Multicurves leaf order (vector payload instead of
-reference distances).
+Trees come from HD-Index's ``build_curve_trees`` at the Multicurves leaf
+order with ``vec`` as the leaf payload, and candidates from HD-Index's
+``curve_candidates``; only the exact-distance top-k is Multicurves' own.
 """
 from __future__ import annotations
 
@@ -17,12 +17,12 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
-from pyspark.sql.types import DoubleType, LongType, StringType, StructField, StructType
+from pyspark.sql import DataFrame, SparkSession
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.core.params import HDIndexParams, internal_branching, partition_dims
-from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
-from repro.hilbert.curve import hilbert_keys, quantize
+from repro.core.build import build_curve_trees
+from repro.core.params import HDIndexParams
+from repro.core.query import check_batch, curve_candidates, empty_result
 
 __all__ = ["MulticurvesIndex", "mc_leaf_order", "build_multicurves", "knn_multicurves"]
 
@@ -57,27 +57,11 @@ def build_multicurves(
     n_partitions: int | None = None,
 ) -> MulticurvesIndex:
     """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order."""
-    sc = spark.sparkContext
     n = data.count()
-    lo, hi, omega, pad_eta = params.domain_lo, params.domain_hi, params.omega, params.eta
     order = mc_leaf_order(params.eta, params.omega, params.nu, params.page_size)
-    branching = internal_branching(params.eta, params.omega, params.page_size)
-
-    trees, hierarchies = [], []
-    for dims in params.partitions:
-        b_dims = sc.broadcast(np.asarray(dims, dtype=np.int64))
-
-        @F.pandas_udf(StringType())
-        def hkey_udf(vec: pd.Series) -> pd.Series:
-            X = np.vstack(vec.to_numpy())[:, b_dims.value]
-            if X.shape[1] < pad_eta:
-                X = np.hstack([X, np.zeros((X.shape[0], pad_eta - X.shape[1]))])
-            return pd.Series(hilbert_keys(quantize(X, lo, hi, omega), omega))
-
-        tree = data.select("id", hkey_udf("vec").alias("hkey"), "vec")
-        tree = assign_leaves(tree, "hkey", order, n_partitions=n_partitions).persist()
-        hierarchies.append(FenceHierarchy(leaf_fences(tree), branching))
-        trees.append(tree)
+    trees, hierarchies = build_curve_trees(
+        spark, data, params, "vec", order, n_partitions=n_partitions
+    )
     return MulticurvesIndex(params, trees, hierarchies, n, order)
 
 
@@ -85,40 +69,10 @@ def knn_multicurves(
     index: MulticurvesIndex, queries: np.ndarray, k: int, *, alpha: int = 4096
 ) -> pd.DataFrame:
     """alpha nearest-by-key per curve, exact re-rank of the union."""
-    from repro.core.query import query_hilbert_keys  # shares key derivation
-
-    p = index.params
-    queries = np.asarray(queries, dtype=np.float64)
-    spark = index.trees[0].sparkSession
-    sc = spark.sparkContext
-
-    # reuse HD-Index's query-key computation through a minimal shim
-    class _Shim:
-        params = p
-
-    qkeys_per_tree = query_hilbert_keys(_Shim, queries)
-
-    rows = []
-    for t, (hier, qkeys) in enumerate(zip(index.hierarchies, qkeys_per_tree)):
-        for qid, qk in enumerate(qkeys):
-            lo_leaf, hi_leaf = hier.window(hier.lookup(qk), alpha)
-            for leaf in range(lo_leaf, hi_leaf + 1):
-                rows.append((t, qid, leaf))
-    probe_df = spark.createDataFrame(
-        pd.DataFrame(rows, columns=["tree_id", "qid", "leaf_id"])
-    )
-
-    union = None
-    for t, tree in enumerate(index.trees):
-        tdf = tree.withColumn("tree_id", F.lit(t))
-        union = tdf if union is None else union.unionByName(tdf)
-
-    window_df = union.join(
-        F.broadcast(probe_df), on=["tree_id", "leaf_id"]
-    ).select("tree_id", "qid", "id", "hkey", "vec")
-
-    b_q = sc.broadcast(queries)
-    b_qkeys = sc.broadcast([list(a) for a in qkeys_per_tree])
+    queries = check_batch(index.params, queries, k, alpha)
+    if len(queries) == 0:
+        return empty_result()
+    b_q = index.trees[0].sparkSession.sparkContext.broadcast(queries)
 
     cand_schema = StructType(
         [
@@ -128,12 +82,7 @@ def knn_multicurves(
         ]
     )
 
-    def pick_alpha(key, pdf):
-        tree_id, qid = int(key[0]), int(key[1])
-        qk = int(b_qkeys.value[tree_id][qid], 16)
-        keydist = np.array([abs(int(h, 16) - qk) for h in pdf["hkey"]], dtype=object)
-        order = np.argsort(keydist, kind="stable")[:alpha]
-        sel = pdf.iloc[order]
+    def exact_dists(qid, sel):
         X = np.vstack(sel["vec"].to_numpy())
         q = b_q.value[qid]
         d = np.sqrt(np.maximum(((X - q[None, :]) ** 2).sum(-1), 0.0))
@@ -142,27 +91,12 @@ def knn_multicurves(
         ).astype({"qid": "int64", "id": "int64"})
 
     cands = (
-        window_df.groupBy("tree_id", "qid")
-        .applyInPandas(pick_alpha, cand_schema)
+        curve_candidates(index, queries, alpha, "vec", exact_dists, cand_schema)
         .dropDuplicates(["qid", "id"])
         .toPandas()
     )
 
-    out = []
-    for qid in range(len(queries)):
-        g = (
-            cands[cands["qid"] == qid]
-            .sort_values(["dist", "id"], kind="mergesort")
-            .head(k)
-        )
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": qid,
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "id": g["id"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    # ids are unique per query, so (dist, id) orders each query totally.
+    top = cands.sort_values(["qid", "dist", "id"]).groupby("qid").head(k)
+    top.insert(1, "rank", top.groupby("qid").cumcount() + 1)
+    return top.reset_index(drop=True)

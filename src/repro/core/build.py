@@ -9,8 +9,10 @@ Pipeline per the paper, in Spark:
    emits the Hilbert key (hex, fixed width) of curve order omega;
 4. per tree, rows ``(id, hkey, rdist)`` are globally sorted by key and
    bucketed into leaves of exactly Omega slots (``rdbtree.assign_leaves``),
-   range-partitioned so leaf windows prune partitions; leaf fences are
-   collected and folded into the driver-side ``FenceHierarchy``.
+   range-partitioned in key order; leaf fences are collected and folded
+   into the driver-side ``FenceHierarchy``. The Multicurves baseline builds
+   its trees with the same loop (``build_curve_trees``), storing vectors
+   instead of ``rdist``.
 
 The returned :class:`HDIndex` holds the tree DataFrames (cached, and
 optionally persisted to Parquet — the disk-resident form), the fence
@@ -33,7 +35,9 @@ from repro.refsel.selection import select
 from repro.core.params import HDIndexParams
 from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
 
-__all__ = ["HDIndex", "build_hd_index", "load_hd_index_trees"]
+__all__ = [
+    "HDIndex", "build_hd_index", "build_curve_trees", "load_hd_index_trees", "subspace_keys",
+]
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
 
@@ -67,6 +71,59 @@ def _euclidean_to_refs(vec_series: pd.Series, refs: np.ndarray) -> pd.Series:
     )
     d = np.sqrt(np.maximum(d2, 0.0))
     return pd.Series(list(d))
+
+
+def subspace_keys(X: np.ndarray, dims, params: HDIndexParams) -> np.ndarray:
+    """Hilbert keys (fixed-width hex) of the rows of ``X`` in sub-space ``dims``.
+
+    A short last partition is zero-padded to ``params.eta`` dims so every
+    key of an index has the same width (Sec. 3.1).
+    """
+    sub = X[:, np.asarray(dims, dtype=np.int64)]
+    if sub.shape[1] < params.eta:
+        sub = np.hstack([sub, np.zeros((sub.shape[0], params.eta - sub.shape[1]))])
+    cells = quantize(sub, params.domain_lo, params.domain_hi, params.omega)
+    return hilbert_keys(cells, params.omega)
+
+
+def _hkey_udf(dims, params: HDIndexParams):
+    @F.pandas_udf(StringType())
+    def hkey_udf(vec: pd.Series) -> pd.Series:
+        return pd.Series(subspace_keys(np.vstack(vec.to_numpy()), dims, params))
+
+    return hkey_udf
+
+
+def build_curve_trees(
+    spark: SparkSession,
+    source: DataFrame,
+    params: HDIndexParams,
+    payload: str,
+    order: int,
+    *,
+    parquet_dir: str | None = None,
+    n_partitions: int | None = None,
+) -> tuple[list, list]:
+    """One key-sorted tree per dimension partition, plus its fence hierarchy.
+
+    ``source`` holds ``id``, ``vec`` and the ``payload`` column the leaves
+    store (``rdist`` for HD-Index, ``vec`` for Multicurves); ``order`` is the
+    leaf order. Each tree is ``(id, hkey, payload, leaf_id, slot)``, cached
+    in memory or, with ``parquet_dir``, written to ``{parquet_dir}/tree_{i}``
+    and re-read from disk.
+    """
+    trees, hierarchies = [], []
+    for i, dims in enumerate(params.partitions):
+        tree = source.select("id", _hkey_udf(dims, params)("vec").alias("hkey"), payload)
+        tree = assign_leaves(tree, "hkey", order, n_partitions=n_partitions)
+        if parquet_dir is not None:
+            path = os.path.join(parquet_dir, f"tree_{i}")
+            tree.write.mode("overwrite").parquet(path)
+            tree.unpersist()
+            tree = spark.read.parquet(path)
+        hierarchies.append(FenceHierarchy(leaf_fences(tree), params.branching))
+        trees.append(tree)
+    return trees, hierarchies
 
 
 def build_hd_index(
@@ -113,42 +170,13 @@ def build_hd_index(
 
     with_rdist = data.withColumn("rdist", rdist_udf("vec"))
 
-    # --- Hilbert keys per partition (Sec. 3.1) --------------------------
-    lo, hi, omega = params.domain_lo, params.domain_hi, params.omega
-    trees: list[DataFrame] = []
-    hierarchies: list[FenceHierarchy] = []
-    pad_eta = params.eta  # pad shorter partitions so all keys share a width
-
     base = data.persist()
     base.count()
 
-    for i, dims in enumerate(params.partitions):
-        dims_arr = np.asarray(dims, dtype=np.int64)
-        b_dims = sc.broadcast(dims_arr)
-
-        @F.pandas_udf(StringType())
-        def hkey_udf(vec: pd.Series) -> pd.Series:
-            X = np.vstack(vec.to_numpy())[:, b_dims.value]
-            if X.shape[1] < pad_eta:  # short last partition: zero-pad dims
-                X = np.hstack([X, np.zeros((X.shape[0], pad_eta - X.shape[1]))])
-            cells = quantize(X, lo, hi, omega)
-            return pd.Series(hilbert_keys(cells, omega))
-
-        tree = with_rdist.select(
-            "id", hkey_udf("vec").alias("hkey"), "rdist"
-        )
-        tree = assign_leaves(tree, "hkey", params.leaf_order, n_partitions=n_partitions)
-
-        if parquet_dir is not None:
-            path = os.path.join(parquet_dir, f"tree_{i}")
-            tree.write.mode("overwrite").parquet(path)
-            tree = spark.read.parquet(path)
-        else:
-            tree = tree.persist()
-
-        fences = leaf_fences(tree)
-        hierarchies.append(FenceHierarchy(fences, params.branching))
-        trees.append(tree)
+    trees, hierarchies = build_curve_trees(
+        spark, with_rdist, params, "rdist", params.leaf_order,
+        parquet_dir=parquet_dir, n_partitions=n_partitions,
+    )
 
     return HDIndex(
         params=params,

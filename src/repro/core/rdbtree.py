@@ -7,14 +7,15 @@ keeps that geometry:
 
 * the **leaf level** is a DataFrame with columns ``(leaf_id, slot, hkey, id,
   rdist)`` where ``(leaf_id, slot)`` comes from the global sort order by
-  ``hkey`` bucketed Omega-at-a-time. It is range-partitioned by ``hkey`` so a
-  leaf-window scan touches few Spark partitions — the analogue of the
-  paper's O(log n + alpha/Omega) page reads;
+  ``hkey`` bucketed Omega-at-a-time. It is range-partitioned by ``hkey``, so
+  each Spark partition holds a contiguous run of leaves. Queries do not yet
+  exploit that: the leaf-window probe is a join that reads every row of
+  every tree, not the paper's O(log n + alpha/Omega) page reads;
 * the **internal levels** are the per-leaf key fences (min/max key, slot
-  count), grouped theta-way bottom-up into a tiny driver-resident hierarchy
-  (`FenceHierarchy`). n/Omega fences for n in the millions is a few
-  thousand rows — the same observation that lets the paper cache internal
-  nodes in RAM.
+  count) held on the driver (`FenceHierarchy`). n/Omega fences for n in the
+  millions is a few thousand rows — the same observation that lets the
+  paper cache internal nodes in RAM. A theta-way descent over them lands on
+  the same leaf as one bisect, so lookups bisect and the height is computed.
 
 Global sort positions are computed with the standard distributed-rank idiom:
 range partition -> sort within partitions -> per-partition counts -> driver
@@ -23,7 +24,7 @@ cumsum of offsets -> offset + local index, avoiding a single-partition window.
 from __future__ import annotations
 
 import bisect
-from dataclasses import dataclass
+import itertools
 
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
@@ -40,6 +41,9 @@ def assign_leaves(
     Adds ``leaf_id`` (0-based, contiguous in global ``key_col`` order) and
     ``slot`` (position within the leaf). Ties on ``key_col`` are broken by
     ``id`` so the assignment is deterministic.
+
+    The result comes back persisted and materialised; the caller owns that
+    cache (``unpersist`` it once the tree is written elsewhere).
     """
     if leaf_order < 1:
         raise ValueError("leaf_order must be >= 1")
@@ -52,10 +56,9 @@ def assign_leaves(
     part = part.withColumn("_pid", F.spark_partition_id())
     # repartitionByRange SAMPLES its boundaries per action; without pinning,
     # the counts pass and the numbering pass below could execute under
-    # different partitionings and corrupt the global order. Persist +
-    # materialise so both passes read the same physical layout.
+    # different partitionings and corrupt the global order. Persist, so the
+    # counts pass materialises the layout the numbering pass then reads.
     part = part.persist()
-    part.count()
 
     counts = {
         r["_pid"]: r["cnt"]
@@ -89,7 +92,13 @@ def assign_leaves(
             out["slot"] = pos % leaf_order
             yield out
 
-    return part.mapInPandas(_number, schema=schema).drop("_pid")
+    out = part.mapInPandas(_number, schema=schema).drop("_pid").persist()
+    out.count()
+    # Reads of ``out`` now hit its cache, not ``part``. Recomputing ``part``
+    # would re-sample the range boundaries against stale offsets, so release
+    # it only now.
+    part.unpersist()
+    return out
 
 
 def leaf_fences(tree_df: DataFrame, key_col: str = "hkey") -> pd.DataFrame:
@@ -111,22 +120,17 @@ def leaf_fences(tree_df: DataFrame, key_col: str = "hkey") -> pd.DataFrame:
     return pdf.reset_index(drop=True)
 
 
-@dataclass
-class _Level:
-    # per node: index of first child in the level below, min/max key
-    first_child: list
-    min_key: list
-    max_key: list
-
-
 class FenceHierarchy:
     """Driver-side internal levels of one RDB-tree.
 
-    Built theta-way bottom-up over the leaf fences; ``lookup`` descends from
-    the root choosing the child whose key range covers (or is nearest to)
-    the probe key — the B+-tree root-to-leaf walk of the paper. ``window``
-    then widens the hit to a contiguous leaf range holding enough slots for
-    the alpha-candidate scan.
+    A B+-tree root-to-leaf walk picks, at every level, the last child whose
+    min key is <= the probe key (the first child if the key precedes
+    everything). Node min keys are their first leaf's min key and fences are
+    key-ordered, so the walk ends at the last leaf whose min key is <= the
+    key — one bisect over the leaf min keys. The internal levels are
+    therefore not materialised; ``height`` is the number of levels a
+    theta-way tree over the leaves has. ``window`` widens the hit to a
+    contiguous leaf range holding enough slots for the alpha-candidate scan.
     """
 
     def __init__(self, fences: pd.DataFrame, branching: int):
@@ -138,27 +142,13 @@ class FenceHierarchy:
             raise ValueError("fences must be dense and ordered by leaf_id")
         self.fences = fences.reset_index(drop=True)
         self.branching = branching
-        self.counts = fences["count"].to_list()
-        self.cum = [0]
-        for c in self.counts:
-            self.cum.append(self.cum[-1] + c)
-        self.levels: list[_Level] = []
-        mins = fences["min_key"].to_list()
-        maxs = fences["max_key"].to_list()
-        while len(mins) > 1:
-            fc, lmin, lmax = [], [], []
-            for i in range(0, len(mins), branching):
-                fc.append(i)
-                lmin.append(mins[i])
-                lmax.append(maxs[min(i + branching, len(mins)) - 1])
-            self.levels.append(_Level(fc, lmin, lmax))
-            mins, maxs = lmin, lmax
-        self.levels.reverse()  # root first
-
-    @property
-    def height(self) -> int:
-        """Number of internal levels above the leaves (0 for a single leaf)."""
-        return len(self.levels)
+        self._min_keys = self.fences["min_key"].to_list()
+        self.cum = [0, *itertools.accumulate(self.fences["count"].to_list())]
+        height, nodes = 0, self.n_leaves
+        while nodes > 1:  # ceil(log_theta(n_leaves)) in exact integer steps
+            nodes = -(-nodes // branching)
+            height += 1
+        self.height = height  # internal levels above the leaves
 
     @property
     def n_leaves(self) -> int:
@@ -169,47 +159,19 @@ class FenceHierarchy:
         return self.cum[-1]
 
     def lookup(self, key: str) -> int:
-        """Leaf id whose key range the probe key falls into (or is nearest).
-
-        Descends the internal levels; within each node's children, picks the
-        last child whose min_key <= key (first child if the key precedes
-        everything) — identical to a B+-tree separator walk. A final bisect
-        over the chosen node's leaf children yields the leaf.
-        """
-        lo, hi = 0, len(self.levels[0].min_key) if self.levels else self.n_leaves
-        for li, level in enumerate(self.levels):
-            keys = level.min_key[lo:hi]
-            pick = lo + max(0, bisect.bisect_right(keys, key) - 1)
-            lo = level.first_child[pick]
-            hi = (
-                level.first_child[pick + 1]
-                if pick + 1 < len(level.first_child)
-                else self._level_len(li + 1)
-            )
-        mins = self.fences["min_key"].to_list()[lo:hi]
-        return lo + max(0, bisect.bisect_right(mins, key) - 1)
-
-    def _level_len(self, li: int) -> int:
-        if li < len(self.levels):
-            return len(self.levels[li].min_key)
-        return self.n_leaves
-
-    def lookup_bisect(self, key: str) -> int:
-        """Direct bisect over leaf fences — oracle for ``lookup`` in tests."""
-        mins = self.fences["min_key"].to_list()
-        return max(0, bisect.bisect_right(mins, key) - 1)
+        """Leaf id whose key range the probe key falls into (or is nearest):
+        the last leaf whose min key is <= ``key``, else leaf 0."""
+        return max(0, bisect.bisect_right(self._min_keys, key) - 1)
 
     def window(self, leaf_id: int, alpha: int) -> tuple[int, int]:
-        """Smallest contiguous leaf range [lo, hi] centred on ``leaf_id`` with
+        """Smallest contiguous leaf range [lo, hi] around ``leaf_id`` with
         >= alpha slots on each side of the centre leaf (or hitting the ends).
 
         Guarantees that the alpha nearest-by-key entries around any key in
         the centre leaf are inside the window.
         """
-        lo = hi = leaf_id
-        # slots strictly before the centre leaf / strictly after it
-        while self.cum[leaf_id] - self.cum[lo] < alpha and lo > 0:
-            lo -= 1
-        while self.cum[hi + 1] - self.cum[leaf_id + 1] < alpha and hi < self.n_leaves - 1:
-            hi += 1
-        return lo, hi
+        # lo: the last leaf starting >= alpha slots before the centre leaf;
+        # hi: the first leaf ending >= alpha slots after it.
+        lo = bisect.bisect_right(self.cum, self.cum[leaf_id] - alpha) - 1
+        hi = bisect.bisect_left(self.cum, self.cum[leaf_id + 1] + alpha) - 1
+        return max(0, min(lo, leaf_id)), min(self.n_leaves - 1, max(hi, leaf_id))

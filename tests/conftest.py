@@ -6,6 +6,7 @@ import pytest
 from repro.synth_data import make_queries, make_vectors, vectors_df
 from repro.core.params import HDIndexParams
 from repro.core.build import build_hd_index
+from repro.baselines.multicurves import build_multicurves
 
 
 TINY = dict(n=600, nu=16, lo=0.0, hi=1.0)
@@ -42,6 +43,11 @@ def tiny_params():
 @pytest.fixture(scope="session")
 def tiny_index(spark, tiny_df, tiny_params):
     return build_hd_index(spark, tiny_df, tiny_params)
+
+
+@pytest.fixture(scope="session")
+def tiny_mc(spark, tiny_df, tiny_params):
+    return build_multicurves(spark, tiny_df, tiny_params)
 
 
 @pytest.fixture(scope="session")

@@ -134,3 +134,17 @@ def test_build_with_random_partitioning(spark):
     flat = sorted(d for g in p.partitions for d in g)
     assert flat == list(range(12))
     assert len(idx.trees) == 3
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_build_persists_only_base_and_cached_trees(spark, tmp_path, on_disk):
+    """A build leaves the base table plus, in memory, one cached DataFrame
+    per tree persisted; no intermediate of the leaf bucketing stays behind."""
+    # Fresh data per case: a build over data cached earlier adds no base RDD.
+    X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=40 + on_disk)
+    df = vectors_df(spark, X)
+    p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=3, omega=4, m=3, alpha=32)
+    persisted = spark.sparkContext._jsc.getPersistentRDDs
+    before = persisted().size()
+    build_hd_index(spark, df, p, parquet_dir=str(tmp_path / "idx") if on_disk else None)
+    assert persisted().size() - before == (1 if on_disk else p.tau + 1)

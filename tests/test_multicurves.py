@@ -4,17 +4,13 @@ import pandas as pd
 import pytest
 
 from repro.baselines.linear_scan import bruteforce_topk
-from repro.baselines.multicurves import (
-    build_multicurves,
-    knn_multicurves,
-    mc_leaf_order,
-)
+from repro.baselines.multicurves import knn_multicurves, mc_leaf_order
 from repro.metrics import map_at_k
 
 
 @pytest.fixture(scope="module")
-def mc(spark, tiny_df, tiny_params):
-    return build_multicurves(spark, tiny_df, tiny_params)
+def mc(tiny_mc):
+    return tiny_mc
 
 
 def test_leaf_order_full_descriptor_is_tiny():
@@ -66,3 +62,25 @@ def test_self_query_rank_one(mc, tiny_xq):
     X, _ = tiny_xq
     got = knn_multicurves(mc, X[[9]], k=3, alpha=32)
     assert got.iloc[0]["id"] == 9
+
+
+@pytest.mark.parametrize(
+    "queries,k,alpha",
+    [
+        (np.zeros((2, 3)), 5, 32),  # wrong dimensionality
+        (np.zeros(16), 5, 32),  # one query, not a batch
+        (np.zeros((2, 16)), 0, 32),
+        (np.zeros((2, 16)), 5, 0),
+        (np.array([[np.nan] + [0.0] * 15]), 5, 32),
+        (np.full((1, 16), -np.inf), 5, 32),
+    ],
+    ids=["dims", "1d", "k0", "alpha0", "nan", "inf"],
+)
+def test_multicurves_rejects_bad_input(mc, queries, k, alpha):
+    with pytest.raises(ValueError):
+        knn_multicurves(mc, queries, k=k, alpha=alpha)
+
+
+def test_multicurves_empty_batch(mc):
+    got = knn_multicurves(mc, np.zeros((0, 16)), k=5, alpha=32)
+    assert list(got.columns) == ["qid", "rank", "id", "dist"] and got.empty

@@ -93,6 +93,20 @@ def test_query_validation(tiny_index):
         knn_query(tiny_index, np.zeros((2, 3)), k=5)  # wrong dimensionality
     with pytest.raises(ValueError):
         knn_query(tiny_index, np.zeros((2, 16)), k=5, filters="banana")
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, np.zeros(16), k=5)  # one query, not a batch
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, np.zeros((2, 16)), k=0)
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, np.zeros((2, 16)), k=5, alpha=0)
+    nan = np.zeros((2, 16))
+    nan[1, 3] = np.nan
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, nan, k=5)
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, np.full((1, 16), np.inf), k=5)
+    empty = knn_query(tiny_index, np.zeros((0, 16)), k=5)
+    assert list(empty.columns) == ["qid", "rank", "id", "dist"] and empty.empty
 
 
 def test_query_hilbert_keys_shape(tiny_index, tiny_xq):

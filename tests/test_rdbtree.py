@@ -109,6 +109,22 @@ def _fences(n_leaves, omega=10, seed=0):
     )
 
 
+def _lookup_scan(fences, key):
+    """Last leaf whose min_key <= key, else leaf 0 (linear scan)."""
+    hits = [i for i, m in enumerate(fences["min_key"]) if m <= key]
+    return hits[-1] if hits else 0
+
+
+def _window_walk(cum, leaf, alpha):
+    """Widen leaf by leaf until alpha slots lie on each side (or an end)."""
+    lo = hi = leaf
+    while cum[leaf] - cum[lo] < alpha and lo > 0:
+        lo -= 1
+    while cum[hi + 1] - cum[leaf + 1] < alpha and hi < len(cum) - 2:
+        hi += 1
+    return lo, hi
+
+
 @pytest.mark.parametrize("n_leaves,branching", [(1, 4), (3, 4), (17, 4), (100, 3), (64, 64), (65, 2)])
 def test_hierarchy_lookup_matches_bisect(n_leaves, branching):
     f = _fences(n_leaves)
@@ -116,13 +132,28 @@ def test_hierarchy_lookup_matches_bisect(n_leaves, branching):
     rng = np.random.default_rng(1)
     probes = [f"{v:08x}" for v in rng.integers(0, 2**31, 200)]
     probes += ["00000000", "ffffffff", f["min_key"][0], f["max_key"].iloc[-1]]
+    probes += list(f["min_key"]) + list(f["max_key"])
     for p in probes:
-        assert h.lookup(p) == h.lookup_bisect(p), p
+        assert h.lookup(p) == _lookup_scan(f, p), p
+
+
+def test_hierarchy_window_matches_leaf_walk():
+    """Uneven leaves, as a tree whose last leaf is short would have."""
+    rng = np.random.default_rng(2)
+    f = _fences(40, omega=6)
+    f["count"] = rng.integers(1, 7, len(f))
+    h = FenceHierarchy(f, branching=3)
+    for leaf in range(len(f)):
+        for alpha in [1, 2, 5, 17, 60, h.total_slots, 10**6]:
+            assert h.window(leaf, alpha) == _window_walk(h.cum, leaf, alpha), (leaf, alpha)
 
 
 def test_hierarchy_height_logarithmic():
     h = FenceHierarchy(_fences(1000), branching=10)
     assert h.height == 3  # 1000 -> 100 -> 10 -> 1
+    # ceil(log_theta(n_leaves)), including exact powers and one past them
+    for n_leaves, branching, height in [(2, 2, 1), (4, 4, 1), (5, 4, 2), (16, 4, 2), (17, 4, 3), (65, 2, 7)]:
+        assert FenceHierarchy(_fences(n_leaves), branching).height == height
 
 
 def test_hierarchy_single_leaf():
@@ -136,7 +167,7 @@ def test_hierarchy_window_slot_guarantee():
     (or reaches the end of the tree)."""
     h = FenceHierarchy(_fences(50, omega=10), branching=4)
     for leaf in [0, 7, 25, 49]:
-        for alpha in [1, 5, 35, 120, 10_000]:
+        for alpha in [1, 5, 35, 120, h.total_slots, h.total_slots + 1, 10_000]:
             lo, hi = h.window(leaf, alpha)
             assert lo <= leaf <= hi
             before = h.cum[leaf] - h.cum[lo]

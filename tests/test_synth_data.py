@@ -1,18 +1,7 @@
-"""Tests for the synthetic data generators (provided TPC-H-lite + the vector
-datasets added for the HD-Index reproduction)."""
+"""Tests for the synthetic vector dataset generators."""
 import numpy as np
-import pytest
 
-from repro.oracle import assert_equivalent
-from repro.synth_data import (
-    lineitem,
-    make_queries,
-    make_vectors,
-    orders,
-    uniform_keys,
-    vectors_df,
-    zipf_keys,
-)
+from repro.synth_data import make_queries, make_vectors, vectors_df
 
 
 def test_make_vectors_shape_domain_determinism():
@@ -62,38 +51,3 @@ def test_vectors_df_schema(spark):
     row = df.orderBy("id").first()
     assert row["id"] == 0
     assert np.allclose(np.asarray(row["vec"]), X[0])
-
-
-def test_zipf_keys_are_skewed(spark):
-    df = zipf_keys(spark, n=5000, n_keys=100, alpha=1.3).toPandas()
-    counts = df["k"].value_counts()
-    assert counts.iloc[0] > 5 * counts.iloc[-1]
-
-
-def test_uniform_keys_cover_range(spark):
-    df = uniform_keys(spark, n=2000, n_keys=50).toPandas()
-    assert df["k"].min() >= 1 and df["k"].max() <= 50
-
-
-def test_tpch_lite_lineitem_oracle(spark):
-    """Provided generator sanity via the DuckDB oracle: a revenue aggregate
-    computed by Spark equals DuckDB over the same input."""
-    li = lineitem(spark, sf=0.001)
-    got = li.groupBy("l_returnflag").agg(
-        {"l_extendedprice": "sum", "*": "count"}
-    )
-    got = got.withColumnRenamed("sum(l_extendedprice)", "rev").withColumnRenamed(
-        "count(1)", "cnt"
-    )
-    assert_equivalent(
-        got,
-        "SELECT l_returnflag, count(*) AS cnt, sum(l_extendedprice) AS rev "
-        "FROM li GROUP BY l_returnflag",
-        li=li,
-    )
-
-
-def test_tpch_lite_orders_deterministic(spark):
-    a = orders(spark, sf=0.001).toPandas()
-    b = orders(spark, sf=0.001).toPandas()
-    assert a.equals(b)
