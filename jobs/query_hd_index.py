@@ -4,7 +4,9 @@
 Usage: spark-submit jobs/query_hd_index.py --dataset sift10k [--k 100]
        [--filters tri|both|none]
 Builds in memory (use build_hd_index.py for the persisted form), queries the
-spec's query batch, and prints per-query latency plus MAP against brute force.
+spec's query batch, and prints per-query latency, MAP against brute force,
+mean kappa (distinct candidates re-ranked per query) and the number of
+queries that returned fewer than k rows.
 """
 import argparse
 import sys
@@ -33,14 +35,16 @@ def main() -> None:
     X, Q = load_xq(spec)
     idx = build_hd_index(spark, vectors_df(spark, X), hd_params_for(spec))
     t0 = time.perf_counter()
-    res = knn_query(idx, Q, args.k, filters=args.filters)
+    res, stats = knn_query(idx, Q, args.k, filters=args.filters, return_stats=True)
     dt = time.perf_counter() - t0
     truth = bruteforce_topk(X, Q, args.k)
     t_ids = [g.sort_values("rank")["id"].tolist() for _, g in truth.groupby("qid")]
     g_ids = [g.sort_values("rank")["id"].tolist() for _, g in res.groupby("qid")]
     print(
         f"{spec.name}: {1000*dt/len(Q):.1f} ms/query, "
-        f"MAP@{args.k} = {map_at_k(g_ids, t_ids, args.k):.3f} (filters={args.filters})"
+        f"MAP@{args.k} = {map_at_k(g_ids, t_ids, args.k):.3f} (filters={args.filters}), "
+        f"mean kappa = {stats['mean_kappa']:.1f}, "
+        f"short results = {stats['short_results']}/{len(Q)}"
     )
     spark.stop()
 

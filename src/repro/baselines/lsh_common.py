@@ -9,48 +9,20 @@ the search stops when (T1) k candidates lie within distance c * R_dist, or
 beta*n + k. What differs is only the collision predicate per level, which
 each method supplies as a Spark job (``count_fn``).
 
-Exact checks are Spark joins of the newly frequent (qid, id) pairs with the
-base table and a broadcast-query pandas kernel — candidates are *never*
-re-checked across levels (driver keeps the seen-set per query).
+Exact checks score the newly frequent (qid, id) pairs with
+``repro.core.query.exact_dists``, one broadcast pass over the base table —
+candidates are *never* re-checked across levels (driver keeps the seen-set
+per query).
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+from pyspark.sql import DataFrame
 
-__all__ = ["exact_check", "collision_search"]
+from repro.core.query import exact_dists
 
-_DIST_SCHEMA = StructType(
-    [
-        StructField("qid", LongType()),
-        StructField("id", LongType()),
-        StructField("dist", DoubleType()),
-    ]
-)
-
-
-def exact_check(base: DataFrame, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
-    """Exact distances for (qid, id) pairs via join with the base table."""
-    if pairs.empty:
-        return pd.DataFrame(columns=["qid", "id", "dist"])
-    spark = base.sparkSession
-    b_q = spark.sparkContext.broadcast(queries)
-    pairs_df = spark.createDataFrame(pairs[["qid", "id"]])
-    joined = base.join(F.broadcast(pairs_df), on="id").select("qid", "id", "vec")
-
-    def kernel(batches):
-        Q = b_q.value
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            X = np.vstack(pdf["vec"].to_numpy())
-            qs = pdf["qid"].to_numpy()
-            d = np.sqrt(np.maximum(((X - Q[qs]) ** 2).sum(-1), 0.0))
-            yield pd.DataFrame({"qid": qs, "id": pdf["id"].to_numpy(), "dist": d})
-
-    return joined.mapInPandas(kernel, _DIST_SCHEMA).toPandas()
+__all__ = ["collision_search"]
 
 
 def collision_search(
@@ -87,7 +59,7 @@ def collision_search(
             freq = freq[
                 [i not in seen[q] for q, i in zip(freq["qid"], freq["id"])]
             ]
-        dists = exact_check(base, freq, queries)
+        dists = exact_dists(base, freq, queries)
         for q in active:
             mine = dists[dists["qid"] == q]
             if len(mine):

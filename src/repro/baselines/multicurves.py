@@ -22,7 +22,7 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.build import build_curve_trees
 from repro.core.params import HDIndexParams
-from repro.core.query import check_batch, curve_candidates, empty_result
+from repro.core.query import check_batch, curve_candidates, empty_result, top_k
 
 __all__ = ["MulticurvesIndex", "mc_leaf_order", "build_multicurves", "knn_multicurves"]
 
@@ -82,7 +82,7 @@ def knn_multicurves(
         ]
     )
 
-    def exact_dists(qid, sel):
+    def score(qid, sel):
         X = np.vstack(sel["vec"].to_numpy())
         q = b_q.value[qid]
         d = np.sqrt(np.maximum(((X - q[None, :]) ** 2).sum(-1), 0.0))
@@ -91,12 +91,8 @@ def knn_multicurves(
         ).astype({"qid": "int64", "id": "int64"})
 
     cands = (
-        curve_candidates(index, queries, alpha, "vec", exact_dists, cand_schema)
+        curve_candidates(index, queries, alpha, "vec", score, cand_schema)
         .dropDuplicates(["qid", "id"])
         .toPandas()
     )
-
-    # ids are unique per query, so (dist, id) orders each query totally.
-    top = cands.sort_values(["qid", "dist", "id"]).groupby("qid").head(k)
-    top.insert(1, "rank", top.groupby("qid").cumcount() + 1)
-    return top.reset_index(drop=True)
+    return top_k(cands, k)

@@ -24,6 +24,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
+from repro.core.query import exact_dists
 
 __all__ = ["OPQIndex", "build_opq", "knn_opq"]
 
@@ -164,10 +165,8 @@ def knn_opq(index: OPQIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
         chosen.append(grp.sort_values(["adist", "id"], kind="mergesort").head(k))
     chosen = pd.concat(chosen, ignore_index=True)
 
-    # true distances of the chosen ids (small join)
-    from repro.baselines.lsh_common import exact_check
-
-    dists = exact_check(index.base, chosen[["qid", "id"]], queries)
+    # true distances of the chosen ids
+    dists = exact_dists(index.base, chosen[["qid", "id"]], queries)
     merged = chosen[["qid", "id", "adist"]].merge(dists, on=["qid", "id"])
     out = []
     for qid in range(len(queries)):

@@ -17,9 +17,15 @@ For a batch of queries the three phases of the paper map onto:
    bound (Eq. 5) keeps beta and optionally the Ptolemaic bound (Eq. 6)
    keeps gamma — using only the leaf-resident reference distances, never
    the vectors, exactly the paper's I/O argument.
-3. **exact re-rank** — the union of per-tree gamma-sets is deduplicated,
-   equi-joined (shuffle path) with the base ``(id, vec)`` table, and a final
-   grouped kernel computes true Euclidean distances and the top-k.
+3. **exact re-rank** (``exact_dists``) — the per-tree gamma-sets (at most
+   tau*gamma narrow ``(qid, id)`` rows per query) are collected and
+   deduplicated on the driver, giving kappa candidates per query. The pairs
+   and the query matrix are broadcast, one ``mapInPandas`` pass over the
+   cached base ``(id, vec)`` table scores the pairs whose id each batch
+   holds, and the driver keeps each query's top k by (dist, id). No join,
+   no shuffle: only the scored ``(qid, id, dist)`` rows come back. The pass
+   still moves all n base rows through Arrow, as the old shuffle join read
+   and shuffled them.
 
 Returns a pandas DataFrame ``(qid, rank, id, dist)`` with rank 1-based.
 """
@@ -38,8 +44,8 @@ from pyspark.sql.types import (
 from repro.core.build import HDIndex, subspace_keys
 
 __all__ = [
-    "knn_query", "curve_candidates", "check_batch", "empty_result",
-    "query_hilbert_keys", "triangular_bounds", "ptolemaic_bounds",
+    "knn_query", "curve_candidates", "exact_dists", "top_k", "check_batch",
+    "empty_result", "query_hilbert_keys", "triangular_bounds", "ptolemaic_bounds",
 ]
 
 
@@ -95,10 +101,75 @@ def check_batch(params, queries, k: int, alpha: int) -> np.ndarray:
     return queries
 
 
+def _typed_empty(dtypes: dict) -> pd.DataFrame:
+    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+
+
 def empty_result() -> pd.DataFrame:
     """The ``(qid, rank, id, dist)`` answer to an empty query batch."""
-    dtypes = {"qid": "int64", "rank": "int64", "id": "int64", "dist": "float64"}
-    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
+    return _typed_empty(
+        {"qid": "int64", "rank": "int64", "id": "int64", "dist": "float64"}
+    )
+
+
+def top_k(dists: pd.DataFrame, k: int) -> pd.DataFrame:
+    """Each query's k nearest ``(qid, id, dist)`` rows as ``(qid, rank, id,
+    dist)``, ordered by qid then rank. Ids must be unique per query, so
+    (dist, id) orders each query totally: ties go to the lower id."""
+    top = dists.sort_values(["qid", "dist", "id"]).groupby("qid").head(k)
+    top.insert(1, "rank", top.groupby("qid").cumcount() + 1)
+    return top.reset_index(drop=True)
+
+
+_DIST_SCHEMA = StructType(
+    [
+        StructField("qid", LongType()),
+        StructField("id", LongType()),
+        StructField("dist", DoubleType()),
+    ]
+)
+
+
+def exact_dists(base, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
+    """Exact Euclidean distance of each ``(qid, id)`` pair: ``(qid, id, dist)``.
+
+    The one exact-distance kernel of HD-Index's re-rank and the C2LSH, QALSH
+    and OPQ checks. ``base`` is the ``(id, vec)`` table with unique ids. The
+    pairs and ``queries`` are broadcast, and one ``mapInPandas`` pass over
+    ``base`` scores the pairs whose id each batch holds: no join, no
+    shuffle. One row per input pair whose id is in ``base``, in no
+    particular order.
+    """
+    if len(pairs) == 0:
+        return _typed_empty({"qid": "int64", "id": "int64", "dist": "float64"})
+    sc = base.sparkSession.sparkContext
+    b = sc.broadcast(
+        (
+            pairs["qid"].to_numpy(dtype=np.int64),
+            pairs["id"].to_numpy(dtype=np.int64),
+            queries,
+        )
+    )
+
+    def kernel(batches):
+        pq, pid, Q = b.value
+        for pdf in batches:
+            ids = pdf["id"].to_numpy()
+            if len(ids) == 0:
+                continue
+            # Each pair's row in this batch, found by bisecting the sorted ids.
+            order = np.argsort(ids)
+            pos = np.minimum(np.searchsorted(ids[order], pid), len(ids) - 1)
+            rows = order[pos]
+            hit = ids[rows] == pid
+            if not hit.any():
+                continue
+            rows, qs = rows[hit], pq[hit]
+            X = np.vstack(pdf["vec"].to_numpy()[rows])
+            d = np.sqrt(np.maximum(((X - Q[qs]) ** 2).sum(-1), 0.0))
+            yield pd.DataFrame({"qid": qs, "id": ids[rows], "dist": d})
+
+    return base.select("id", "vec").mapInPandas(kernel, _DIST_SCHEMA).toPandas()
 
 
 def _probe_frame(index, qkeys_per_tree, alpha: int) -> pd.DataFrame:
@@ -170,6 +241,13 @@ def knn_query(
     'both' (triangular to beta then Ptolemaic to gamma), or
     'none' (all alpha candidates go to the exact phase; with alpha >= n this
     makes the query exact, used as a correctness oracle in tests).
+    The funnel sizes must satisfy gamma >= 1, gamma <= alpha in 'tri' mode
+    and 1 <= gamma <= beta <= alpha in 'both' mode; else ValueError.
+
+    ``return_stats=True`` also returns ``mean_kappa`` (distinct candidates
+    per query), ``short_results`` (queries with fewer than k rows), and the
+    alpha and gamma used; they come from the collected candidates, at no
+    extra Spark cost.
     """
     p = index.params
     alpha = alpha if alpha is not None else p.alpha
@@ -178,10 +256,21 @@ def knn_query(
     if filters not in ("tri", "both", "none"):
         raise ValueError(f"unknown filter mode {filters!r}")
     queries = check_batch(p, queries, k, alpha)
+    if gamma < 1:
+        raise ValueError(f"gamma must be >= 1, got {gamma}")
+    if filters == "tri" and gamma > alpha:
+        raise ValueError(f"need gamma <= alpha, got gamma={gamma}, alpha={alpha}")
+    if filters == "both" and not gamma <= beta <= alpha:
+        raise ValueError(
+            f"need 1 <= gamma <= beta <= alpha, got {gamma}, {beta}, {alpha}"
+        )
     if len(queries) == 0:
         result = empty_result()
         if return_stats:
-            return result, {"mean_kappa": float("nan"), "alpha": alpha, "gamma": gamma}
+            return result, {
+                "mean_kappa": float("nan"), "short_results": 0,
+                "alpha": alpha, "gamma": gamma,
+            }
         return result
     sc = index.base.sparkSession.sparkContext
 
@@ -191,7 +280,6 @@ def knn_query(
         )
     )  # (Q, m)
 
-    b_q = sc.broadcast(queries)
     b_qr = sc.broadcast(q_rdist)
     b_rr = sc.broadcast(index.ref_pairwise)
 
@@ -219,47 +307,21 @@ def knn_query(
         out = pd.DataFrame({"qid": qid, "id": sel["id"].to_numpy()})
         return out.astype({"qid": "int64", "id": "int64"})
 
-    candidates = curve_candidates(
-        index, queries, alpha, "rdist", funnel, cand_schema
-    ).dropDuplicates(["qid", "id"])
+    pairs = (
+        curve_candidates(index, queries, alpha, "rdist", funnel, cand_schema)
+        .toPandas()
+        .drop_duplicates()
+    )
 
     # --- exact re-rank over the candidate union C (kappa <= tau*gamma) ----
-    joined = candidates.join(index.base, on="id", how="inner")
-
-    res_schema = StructType(
-        [
-            StructField("qid", LongType()),
-            StructField("rank", LongType()),
-            StructField("id", LongType()),
-            StructField("dist", DoubleType()),
-        ]
-    )
-
-    def rerank(key, pdf):
-        qid = int(key[0])
-        q = b_q.value[qid]
-        X = np.vstack(pdf["vec"].to_numpy())
-        d = np.sqrt(np.maximum(((X - q[None, :]) ** 2).sum(-1), 0.0))
-        order = np.lexsort((pdf["id"].to_numpy(), d))[:k]
-        return pd.DataFrame(
-            {
-                "qid": qid,
-                "rank": np.arange(1, len(order) + 1, dtype=np.int64),
-                "id": pdf["id"].to_numpy()[order],
-                "dist": d[order],
-            }
-        )
-
-    result = (
-        joined.groupBy("qid")
-        .applyInPandas(rerank, schema=res_schema)
-        .orderBy("qid", "rank")
-        .toPandas()
-    )
+    result = top_k(exact_dists(index.base, pairs, queries), k)
 
     if return_stats:
-        kappa = (
-            candidates.groupBy("qid").count().agg(F.avg("count")).collect()[0][0]
-        )
-        return result, {"mean_kappa": float(kappa), "alpha": alpha, "gamma": gamma}
+        rows = np.bincount(result["qid"], minlength=len(queries))
+        return result, {
+            "mean_kappa": float(pairs.groupby("qid").size().mean()),
+            "short_results": int((rows < k).sum()),
+            "alpha": alpha,
+            "gamma": gamma,
+        }
     return result

@@ -5,8 +5,8 @@ import pytest
 
 from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
 from repro.baselines.linear_scan import bruteforce_topk
-from repro.baselines.lsh_common import exact_check
 from repro.baselines.qalsh import build_qalsh, knn_qalsh
+from repro.core.query import exact_dists
 from repro.metrics import recall_at_k
 
 
@@ -20,13 +20,14 @@ def qa(spark, tiny_df):
     return build_qalsh(spark, tiny_df, m=16, seed=0)
 
 
-# --- shared: exact_check -----------------------------------------------------
+# --- shared: exact_dists -----------------------------------------------------
 
 def test_exact_check_distances(spark, tiny_df, tiny_xq):
     X, Q = tiny_xq
     pairs = pd.DataFrame({"qid": [0, 0, 1], "id": [3, 7, 3]})
-    got = exact_check(tiny_df, pairs, Q)
+    got = exact_dists(tiny_df, pairs, Q)
     assert len(got) == 3
+    assert sorted(zip(got["qid"], got["id"])) == [(0, 3), (0, 7), (1, 3)]
     for _, row in got.iterrows():
         true = np.sqrt(((X[int(row["id"])] - Q[int(row["qid"])]) ** 2).sum())
         assert row["dist"] == pytest.approx(true, abs=1e-9)
@@ -34,7 +35,7 @@ def test_exact_check_distances(spark, tiny_df, tiny_xq):
 
 def test_exact_check_empty(spark, tiny_df, tiny_xq):
     _, Q = tiny_xq
-    got = exact_check(tiny_df, pd.DataFrame(columns=["qid", "id"]), Q)
+    got = exact_dists(tiny_df, pd.DataFrame(columns=["qid", "id"]), Q)
     assert got.empty
 
 

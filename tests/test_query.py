@@ -4,8 +4,10 @@ import pandas as pd
 import pytest
 
 from repro.baselines.linear_scan import bruteforce_topk
+from repro.core.build import build_hd_index
 from repro.core.query import knn_query, query_hilbert_keys
 from repro.metrics import map_at_k, recall_at_k
+from repro.synth_data import vectors_df
 
 
 def _lists(df):
@@ -82,6 +84,56 @@ def test_kappa_bounds(tiny_index, tiny_xq):
     assert 16 <= stats["mean_kappa"] <= tau * 16
 
 
+def test_kappa_is_n_when_alpha_covers_all(tiny_index, tiny_xq):
+    """With alpha >= n and no filter every tree returns every object, so the
+    deduplicated candidate set of each query is the whole dataset."""
+    X, Q = tiny_xq
+    _, stats = knn_query(
+        tiny_index, Q[:3], k=5, alpha=len(X), filters="none", return_stats=True
+    )
+    assert stats["mean_kappa"] == len(X)
+    assert stats["short_results"] == 0
+
+
+def test_stats_do_not_change_the_result(tiny_index, tiny_xq):
+    _, Q = tiny_xq
+    plain = knn_query(tiny_index, Q, k=10, alpha=64, gamma=16)
+    with_stats, stats = knn_query(
+        tiny_index, Q, k=10, alpha=64, gamma=16, return_stats=True
+    )
+    pd.testing.assert_frame_equal(with_stats, plain)
+    assert stats["short_results"] == 0
+
+
+def test_short_results_counts_queries_below_k(tiny_index, tiny_xq):
+    """k above tau*gamma cannot be met: every query comes back short."""
+    _, Q = tiny_xq
+    tau = tiny_index.params.tau
+    got, stats = knn_query(
+        tiny_index, Q[:3], k=tau * 2 + 1, alpha=8, gamma=2, return_stats=True
+    )
+    assert stats["short_results"] == 3
+    assert stats["mean_kappa"] <= tau * 2
+    assert got.groupby("qid").size().max() <= tau * 2
+
+
+def test_exact_with_ties_and_duplicate_candidates(spark, tiny_xq, tiny_params):
+    """Every vector stored twice: equal distances tie and every tree
+    returns both copies. The exact path must dedup the cross-tree
+    candidates and break the ties by ascending id, as brute force does."""
+    X, Q = tiny_xq
+    X2 = np.vstack([X[:150], X[:150]])
+    idx = build_hd_index(spark, vectors_df(spark, X2, n_partitions=2), tiny_params)
+    got = knn_query(idx, Q, k=5, alpha=len(X2), filters="none")
+    ref = bruteforce_topk(X2, Q, k=5)
+    pd.testing.assert_frame_equal(
+        got.reset_index(drop=True), ref.reset_index(drop=True), check_dtype=False
+    )
+    # Odd k: each query's fifth neighbour is the lower id of a tied pair.
+    fifth = got[got["rank"] == 5]["id"].to_numpy()
+    assert (fifth < 150).all()
+
+
 def test_stats_alpha_gamma_echo(tiny_index, tiny_xq):
     _, Q = tiny_xq
     _, stats = knn_query(tiny_index, Q[:2], k=3, alpha=48, gamma=12, return_stats=True)
@@ -105,6 +157,19 @@ def test_query_validation(tiny_index):
         knn_query(tiny_index, nan, k=5)
     with pytest.raises(ValueError):
         knn_query(tiny_index, np.full((1, 16), np.inf), k=5)
+    q = np.zeros((2, 16))
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, q, k=5, gamma=0)  # gamma < 1
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, q, k=5, gamma=0, filters="none")
+    with pytest.raises(ValueError):
+        knn_query(tiny_index, q, k=5, alpha=16, gamma=17, filters="tri")
+    with pytest.raises(ValueError):  # gamma > beta
+        knn_query(tiny_index, q, k=5, alpha=64, beta=16, gamma=17, filters="both")
+    with pytest.raises(ValueError):  # beta > alpha
+        knn_query(tiny_index, q, k=5, alpha=64, beta=65, gamma=16, filters="both")
+    with pytest.raises(ValueError):  # default beta (= params alpha) > alpha
+        knn_query(tiny_index, q, k=5, alpha=32, gamma=8, filters="both")
     empty = knn_query(tiny_index, np.zeros((0, 16)), k=5)
     assert list(empty.columns) == ["qid", "rank", "id", "dist"] and empty.empty
 
