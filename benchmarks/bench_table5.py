@@ -16,7 +16,8 @@ import pytest
 
 from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
 from repro.baselines.hnsw import HNSW, knn_hnsw
-from repro.baselines.linear_scan import bruteforce_topk
+from repro.baselines.idistance import build_idistance, knn_idistance
+from repro.baselines.linear_scan import bruteforce_topk, knn_linear_scan
 from repro.baselines.multicurves import build_multicurves, knn_multicurves
 from repro.baselines.opq import build_opq, knn_opq
 from repro.baselines.qalsh import build_qalsh, knn_qalsh
@@ -33,8 +34,11 @@ SPECS = {s.name: s for s in TABLE5_DATASETS}
 BENCH_DATASETS = ["sift10k", "audio"]
 
 # MAP@100 floors per method (paper shape: hdindex/qalsh/hnsw high,
-# c2lsh/srs medium, opq low-but-above-zero).
+# c2lsh/srs medium, opq low-but-above-zero; linear scan and iDistance are
+# exact, so they must equal the brute-force answer).
 MAP_FLOORS = {
+    "linear": 1.0,
+    "idistance": 1.0,
     "hdindex": 0.85,
     "multicurves": 0.6,
     "qalsh": 0.5,
@@ -69,6 +73,7 @@ def table5_ctx(spark):
             "srs": build_srs(spark, df, m_proj=6),
             "opq": build_opq(spark, df, M=2, ksub=256),
             "hnsw": HNSW(X, M=12, ef_construction=128),
+            "idist": build_idistance(spark, df, n_centers=min(64, spec.n // 10)),
         }
     return ctx
 
@@ -149,3 +154,21 @@ def test_bench_hnsw_query(benchmark, table5_ctx, name):
         lambda: knn_hnsw(c["hnsw"], c["Q"], K, ef=256), rounds=1, iterations=1
     )
     _check(res, c, "hnsw")
+
+
+@pytest.mark.parametrize("name", BENCH_DATASETS)
+def test_bench_linear_query(benchmark, table5_ctx, name):
+    c = table5_ctx[name]
+    res = benchmark.pedantic(
+        lambda: knn_linear_scan(c["df"], c["Q"], K), rounds=1, iterations=1
+    )
+    _check(res, c, "linear")
+
+
+@pytest.mark.parametrize("name", BENCH_DATASETS)
+def test_bench_idistance_query(benchmark, table5_ctx, name):
+    c = table5_ctx[name]
+    res = benchmark.pedantic(
+        lambda: knn_idistance(c["idist"], c["Q"], K), rounds=1, iterations=1
+    )
+    _check(res, c, "idistance")

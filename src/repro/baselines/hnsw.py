@@ -21,6 +21,8 @@ import heapq
 import numpy as np
 import pandas as pd
 
+from repro.core.query import top_k
+
 __all__ = ["HNSW", "knn_hnsw"]
 
 
@@ -129,18 +131,8 @@ def knn_hnsw(
     graph: HNSW, queries: np.ndarray, k: int, *, ef: int = 100
 ) -> pd.DataFrame:
     """Batch wrapper returning the repo-standard (qid, rank, id, dist)."""
-    out = []
+    found = []
     for qid, q in enumerate(np.asarray(queries, dtype=np.float64)):
         ids, dists = graph.query(q, k, ef)
-        order = np.lexsort((ids, dists))
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": qid,
-                    "rank": np.arange(1, len(ids) + 1, dtype=np.int64),
-                    "id": ids[order],
-                    "dist": dists[order],
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+        found.append(pd.DataFrame({"qid": qid, "id": ids, "dist": dists}))
+    return top_k(pd.concat(found, ignore_index=True), k)

@@ -9,10 +9,13 @@ checks the ring members, and stops once the current k-th exact distance is
 <= r — at which point no unexamined point can be closer, so the answer is
 **exact** (verified against linear scan in tests).
 
-The ring scans are Spark filters over the keyed DataFrame — the analogue of
-the B+-tree range scans — and the exact checks are a broadcast-query pandas
-kernel. As in the paper, iDistance degenerates toward a full scan in high
-dimensions (every ring quickly covers every partition), which is exactly the
+Each round is one Spark job: a broadcast range join of the keyed table
+against the ring predicates — the analogue of the B+-tree range scans —
+whose rows already carry their vectors, so a pandas kernel scores them in
+the same pass (``query.exact_dists`` would need a second pass over the
+base). The finished queries' answers are ranked by ``query.top_k``. As in
+the paper, iDistance degenerates toward a full scan in high dimensions
+(every ring quickly covers every partition), which is exactly the
 inefficiency HD-Index's Table 5 reports.
 """
 from __future__ import annotations
@@ -25,6 +28,9 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
+from repro.baselines.linear_scan import knn_linear_scan
+from repro.core.build import pairwise_dists, sample_vectors
+from repro.core.query import top_k
 
 __all__ = ["IDistanceIndex", "build_idistance", "knn_idistance"]
 
@@ -50,13 +56,7 @@ def build_idistance(
     """Cluster-based reference points (the paper's recommended variant) and
     the keyed, range-sorted table."""
     n = data.count()
-    frac = min(1.0, _SAMPLE_CAP * 1.3 / max(n, 1))
-    sample_pdf = (
-        data.sample(fraction=frac, seed=seed).limit(_SAMPLE_CAP).toPandas()
-        if frac < 1.0
-        else data.toPandas()
-    )
-    sample = np.vstack(sample_pdf["vec"].to_numpy())
+    sample = sample_vectors(data, n, _SAMPLE_CAP, seed)
     centers, _ = kmeans(sample, min(n_centers, len(sample)), seed=seed)
 
     sc = spark.sparkContext
@@ -122,11 +122,7 @@ def knn_idistance(
     r0 = r0 if r0 is not None else 0.1 * scale
     dr = dr if dr is not None else 0.1 * scale
 
-    qc = np.sqrt(
-        np.maximum(
-            ((queries[:, None, :] - index.centers[None, :, :]) ** 2).sum(-1), 0.0
-        )
-    )  # (Q, C) query-to-center distances
+    qc = pairwise_dists(queries, index.centers)  # (Q, C)
 
     b_q = sc.broadcast(queries)
     res_schema = StructType(
@@ -199,8 +195,6 @@ def knn_idistance(
     # Safety net: any query still active after max_rounds gets its best-so-far
     # via one full-ring pass (r covering everything) — keeps exactness.
     if active:
-        from repro.baselines.linear_scan import knn_linear_scan
-
         rest = knn_linear_scan(
             index.keyed.select("id", "vec"), queries[active], k
         )
@@ -209,17 +203,4 @@ def knn_idistance(
         for qid, grp in rest.groupby("qid"):
             results[qid] = grp[["qid", "id", "dist"]]
 
-    out = []
-    for qid in range(len(queries)):
-        g = results[qid].sort_values(["dist", "id"], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": qid,
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "id": g["id"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    return top_k(pd.concat(results.values(), ignore_index=True), k)

@@ -1,10 +1,11 @@
 """Exact kNN by distributed linear scan — the ground-truth generator.
 
 The paper uses linear scan both as the accuracy oracle (MAP/ratio ground
-truth) and as the efficiency strawman iDistance degenerates to. Here it is a
-single ``mapInPandas`` pass: each partition computes its local top-k per
-query against the broadcast query matrix, and the driver merges the
-per-partition heaps — O(n * nu) work, O(P * Q * k) merge.
+truth) and as the efficiency strawman iDistance degenerates to. Here it is
+one ``mapInPandas`` pass: each Arrow batch scores every query of the
+broadcast query matrix against its rows and keeps its own k nearest per
+query, and the driver ranks those partials with ``query.top_k`` — O(n * nu)
+work, an O(batches * Q * k) merge.
 """
 from __future__ import annotations
 
@@ -12,6 +13,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
+
+from repro.core.query import top_k
 
 __all__ = ["knn_linear_scan", "bruteforce_topk"]
 
@@ -64,30 +67,13 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
             d = np.sqrt(np.maximum(d2, 0.0))
             kk = min(k, d.shape[1])
             part = np.argpartition(d, kk - 1, axis=1)[:, :kk]
-            out_q, out_i, out_d = [], [], []
-            for qi in range(d.shape[0]):
-                sel = part[qi]
-                out_q.extend([qi] * len(sel))
-                out_i.extend(ids[sel])
-                out_d.extend(d[qi, sel])
-            yield pd.DataFrame({"qid": out_q, "id": out_i, "dist": out_d})
-
-    partials = data.select("id", "vec").mapInPandas(local_topk, _PARTIAL_SCHEMA).toPandas()
-    out = []
-    for qid, grp in partials.groupby("qid"):
-        g = grp.sort_values(["dist", "id"], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
+            yield pd.DataFrame(
                 {
-                    "qid": qid,
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "id": g["id"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
+                    "qid": np.repeat(np.arange(len(Q)), kk),
+                    "id": ids[part].ravel(),
+                    "dist": np.take_along_axis(d, part, axis=1).ravel(),
                 }
             )
-        )
-    return (
-        pd.concat(out, ignore_index=True)
-        if out
-        else pd.DataFrame(columns=["qid", "rank", "id", "dist"])
-    )
+
+    partials = data.select("id", "vec").mapInPandas(local_topk, _PARTIAL_SCHEMA).toPandas()
+    return top_k(partials, k)

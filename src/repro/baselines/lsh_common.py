@@ -1,18 +1,15 @@
-"""Shared machinery for the collision-counting LSH baselines (C2LSH, QALSH).
+"""Shared search loop of the collision-counting LSH baselines (C2LSH, QALSH).
 
-Both methods share the same outer search: virtually enlarge the search
-radius level by level (R = 1, c, c^2, ...); at each level an object is
-*frequent* for a query when it collides with the query in at least
-``l`` of the m hash functions; frequent objects get an exact distance check;
-the search stops when (T1) k candidates lie within distance c * R_dist, or
-(T2) the number of checked candidates reaches the false-positive budget
-beta*n + k. What differs is only the collision predicate per level, which
-each method supplies as a Spark job (``count_fn``).
-
-Exact checks score the newly frequent (qid, id) pairs with
-``repro.core.query.exact_dists``, one broadcast pass over the base table —
-candidates are *never* re-checked across levels (driver keeps the seen-set
-per query).
+Both methods virtually enlarge the search radius level by level (R = 1, c,
+c^2, ...). At each level an object is *frequent* for a query when it
+collides with the query in at least ``l`` of the m hash functions; only the
+collision predicate differs, and each method supplies it as a Spark job
+(``count_fn``). Newly frequent (qid, id) pairs are scored by
+``query.exact_dists`` (one broadcast pass over the base table); the driver
+keeps a seen-set per query, so no pair is checked twice. A query stops when
+(T1) k candidates lie within distance c * R_dist, or (T2) the number of
+checked candidates reaches the false-positive budget beta*n + k. The kept
+candidates of all queries are ranked by ``query.top_k``.
 """
 from __future__ import annotations
 
@@ -20,7 +17,7 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
 
-from repro.core.query import exact_dists
+from repro.core.query import empty_result, exact_dists, top_k
 
 __all__ = ["collision_search"]
 
@@ -45,9 +42,7 @@ def collision_search(
     """
     nq = len(queries)
     seen: list[set] = [set() for _ in range(nq)]
-    best: list[pd.DataFrame] = [
-        pd.DataFrame(columns=["qid", "id", "dist"]) for _ in range(nq)
-    ]
+    best = [empty_result().drop(columns="rank")] * nq  # each <= k, by (dist, id)
     done = [False] * nq
     R = 1.0
     for _ in range(max_levels):
@@ -64,34 +59,14 @@ def collision_search(
             mine = dists[dists["qid"] == q]
             if len(mine):
                 seen[q].update(mine["id"].tolist())
-                combined = (
-                    mine
-                    if best[q].empty
-                    else pd.concat([best[q], mine], ignore_index=True)
+                best[q] = (
+                    pd.concat([best[q], mine])
+                    .sort_values(["dist", "id"], kind="mergesort")
+                    .head(k)
                 )
-                best[q] = combined.sort_values(
-                    ["dist", "id"], kind="mergesort"
-                ).head(max(k, 2 * k))
-            topk = best[q].head(k)
-            t1 = len(topk) >= k and topk["dist"].iloc[-1] <= c * R * radius_unit
+            t1 = len(best[q]) >= k and best[q]["dist"].iloc[-1] <= c * R * radius_unit
             t2 = len(seen[q]) >= cap
             if t1 or t2:
                 done[q] = True
         R *= c
-
-    out = []
-    for q in range(nq):
-        g = best[q].head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": q,
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "id": g["id"].to_numpy(dtype=np.int64)
-                    if len(g)
-                    else np.array([], dtype=np.int64),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    return top_k(pd.concat(best, ignore_index=True), k)

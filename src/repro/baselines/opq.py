@@ -24,7 +24,8 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
-from repro.core.query import exact_dists
+from repro.core.build import sample_vectors
+from repro.core.query import exact_dists, top_k
 
 __all__ = ["OPQIndex", "build_opq", "knn_opq"]
 
@@ -56,13 +57,7 @@ def build_opq(
     seed: int = 0,
 ) -> OPQIndex:
     n = data.count()
-    frac = min(1.0, _TRAIN_CAP * 1.3 / max(n, 1))
-    train_pdf = (
-        data.sample(fraction=frac, seed=seed).limit(_TRAIN_CAP).toPandas()
-        if frac < 1.0
-        else data.toPandas()
-    )
-    X = np.vstack(train_pdf["vec"].to_numpy())
+    X = sample_vectors(data, n, _TRAIN_CAP, seed)
     nu = X.shape[1]
     ksub = min(ksub, len(X))
     splits = _sub_splits(nu, M)
@@ -113,8 +108,7 @@ def knn_opq(index: OPQIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
     tables, top-k by approximate distance, true distances reported for the
     selected ids (the evaluation convention for all methods here)."""
     queries = np.asarray(queries, dtype=np.float64)
-    spark = index.codes.sparkSession
-    sc = spark.sparkContext
+    sc = index.codes.sparkSession.sparkContext
 
     # per-query LUT: (Q, M, ksub) squared distances to every centroid
     Zq = queries @ index.R
@@ -160,27 +154,6 @@ def knn_opq(index: OPQIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
             yield pd.concat(frames, ignore_index=True)
 
     partials = index.codes.mapInPandas(scan, schema).toPandas()
-    chosen = []
-    for qid, grp in partials.groupby("qid"):
-        chosen.append(grp.sort_values(["adist", "id"], kind="mergesort").head(k))
-    chosen = pd.concat(chosen, ignore_index=True)
-
-    # true distances of the chosen ids
-    dists = exact_dists(index.base, chosen[["qid", "id"]], queries)
-    merged = chosen[["qid", "id", "adist"]].merge(dists, on=["qid", "id"])
-    out = []
-    for qid in range(len(queries)):
-        g = merged[merged["qid"] == qid].sort_values(
-            ["adist", "id"], kind="mergesort"
-        ).head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": qid,
-                    "rank": np.arange(1, len(g) + 1, dtype=np.int64),
-                    "id": g["id"].to_numpy(),
-                    "dist": g["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+    # rank by ADC distance, then report each chosen id's true distance
+    chosen = top_k(partials.rename(columns={"adist": "dist"}), k).drop(columns="dist")
+    return chosen.merge(exact_dists(index.base, chosen, queries), on=["qid", "id"])

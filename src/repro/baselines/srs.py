@@ -11,11 +11,14 @@ already so large that, under the chi-squared distribution of
 ||proj(x-q)||^2 / d(x,q)^2, the chance of it beating the current k-th
 exact neighbour within ratio c is below the threshold tau'.
 
-Our realisation computes the projected distances with one Spark pass,
-keeps the t*n-smallest per query (that is exactly the maximal scan
-prefix), and replays the ordered scan with the stopping rule in a pandas
-kernel — result-identical to the R-tree incremental search of the authors'
-code (DESIGN.md deviation #5).
+Our realisation computes the projected distances with one Spark pass whose
+Arrow batches each keep their (budget+1)-smallest per query. The driver
+keeps each query's (budget+1)-smallest overall by (pdist, id): the maximal
+scan prefix, plus the next point for the stopping test. The prefix is
+scored with ``query.exact_dists``, the ordered scan is replayed with the
+stopping rule on the driver, and the examined points are ranked by
+``query.top_k`` — result-identical to the R-tree incremental search of the
+authors' code (DESIGN.md deviation #5).
 """
 from __future__ import annotations
 
@@ -25,6 +28,8 @@ import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
+
+from repro.core.query import exact_dists, top_k
 
 __all__ = ["SRSIndex", "build_srs", "knn_srs"]
 
@@ -76,8 +81,7 @@ def knn_srs(
     t for million-point datasets; t*n < k otherwise).
     """
     queries = np.asarray(queries, dtype=np.float64)
-    spark = index.projected.sparkSession
-    sc = spark.sparkContext
+    sc = index.projected.sparkSession.sparkContext
     budget = max(min_examined, int(np.ceil(t * index.n)), k)
 
     QP = queries @ index.A.T  # (Q, m')
@@ -115,85 +119,32 @@ def knn_srs(
                 )
             yield pd.concat(frames, ignore_index=True)
 
-    partials = index.projected.mapInPandas(proj_dists, pd_schema)
+    partials = index.projected.mapInPandas(proj_dists, pd_schema).toPandas()
     # keep the (budget+1)-smallest projected distances per query: budget
     # points may be examined, the +1 drives the early-termination test.
-    prefix = []
-    pp = partials.toPandas()
-    for qid, grp in pp.groupby("qid"):
-        prefix.append(
-            grp.sort_values(["pdist", "id"], kind="mergesort").head(budget + 1)
-        )
-    prefix = pd.concat(prefix, ignore_index=True)
-
-    # exact distances for the prefix
-    b_q = sc.broadcast(queries)
-    pairs_df = spark.createDataFrame(prefix[["qid", "id", "pdist"]])
-    joined = index.base.join(F.broadcast(pairs_df), on="id").select(
-        "qid", "id", "pdist", "vec"
+    prefix = (
+        partials.sort_values(["qid", "pdist", "id"])
+        .groupby("qid")
+        .head(budget + 1)
+    )
+    # merge keeps prefix's (qid, pdist, id) order: each query's scan order
+    scanned = prefix.merge(
+        exact_dists(index.base, prefix, queries), on=["qid", "id"]
     )
 
-    res_schema = StructType(
-        [
-            StructField("qid", LongType()),
-            StructField("id", LongType()),
-            StructField("pdist", DoubleType()),
-            StructField("dist", DoubleType()),
-        ]
-    )
-
-    def exact(batches):
-        Q = b_q.value
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            X = np.vstack(pdf["vec"].to_numpy())
-            qs = pdf["qid"].to_numpy()
-            d = np.sqrt(np.maximum(((X - Q[qs]) ** 2).sum(-1), 0.0))
-            yield pd.DataFrame(
-                {
-                    "qid": qs,
-                    "id": pdf["id"].to_numpy(),
-                    "pdist": pdf["pdist"].to_numpy(),
-                    "dist": d,
-                }
-            )
-
-    scanned = joined.mapInPandas(exact, res_schema).toPandas()
-
-    out = []
-    for qid in range(len(queries)):
-        g = scanned[scanned["qid"] == qid].sort_values(
-            ["pdist", "id"], kind="mergesort"
-        )
+    examined = []
+    for _, g in scanned.groupby("qid"):
         pdists = g["pdist"].to_numpy()
         dists = g["dist"].to_numpy()
         # replay the ordered scan with the SRS-12 stopping rule
         stop = min(budget, len(g))
-        kth = np.inf
-        heap_d: list[float] = []
-        for i in range(len(g)):
-            if i >= budget:
-                stop = budget
+        for i in range(k - 1, stop):
+            kth = np.partition(dists[: i + 1], k - 1)[k - 1]
+            # early termination: next projected distance too large
+            if i + 1 < len(pdists) and pdists[i + 1] ** 2 > (
+                _CHI2_Q_TAU_M6 * (c * kth) ** 2
+            ):
+                stop = i + 1
                 break
-            heap_d.append(dists[i])
-            if len(heap_d) >= k:
-                kth = np.sort(np.asarray(heap_d))[k - 1]
-                # early termination: next projected distance too large
-                if i + 1 < len(pdists) and pdists[i + 1] ** 2 > (
-                    _CHI2_Q_TAU_M6 * (c * kth) ** 2
-                ):
-                    stop = i + 1
-                    break
-        gg = g.head(stop).sort_values(["dist", "id"], kind="mergesort").head(k)
-        out.append(
-            pd.DataFrame(
-                {
-                    "qid": qid,
-                    "rank": np.arange(1, len(gg) + 1, dtype=np.int64),
-                    "id": gg["id"].to_numpy(),
-                    "dist": gg["dist"].to_numpy(),
-                }
-            )
-        )
-    return pd.concat(out, ignore_index=True)
+        examined.append(g.head(stop))
+    return top_k(pd.concat(examined, ignore_index=True)[["qid", "id", "dist"]], k)

@@ -30,13 +30,14 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, StringType
 
-from repro.hilbert.curve import hilbert_keys, key_hex_width, quantize
+from repro.hilbert.curve import hilbert_keys, quantize
 from repro.refsel.selection import select
 from repro.core.params import HDIndexParams
 from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
 
 __all__ = [
     "HDIndex", "build_hd_index", "build_curve_trees", "load_hd_index_trees", "subspace_keys",
+    "sample_vectors", "pairwise_dists",
 ]
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
@@ -56,9 +57,23 @@ class HDIndex:
     parquet_dir: str | None = None
     build_stats: dict = field(default_factory=dict)
 
-    @property
-    def key_width(self) -> int:
-        return key_hex_width(self.params.eta, self.params.omega)
+
+def sample_vectors(data: DataFrame, n: int, cap: int, seed: int) -> np.ndarray:
+    """A seeded sample of the ``n`` rows of ``data`` as a driver-side
+    (rows, nu) matrix of their ``vec``: every row when n <= 1.3 * cap, else
+    a Bernoulli sample of about 1.3 * cap rows cut to ``cap``."""
+    frac = min(1.0, cap * 1.3 / max(n, 1))
+    pdf = (
+        data.sample(fraction=frac, seed=seed).limit(cap).toPandas()
+        if frac < 1.0
+        else data.toPandas()
+    )
+    return np.vstack(pdf["vec"].to_numpy())
+
+
+def pairwise_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """(len(A), len(B)) Euclidean distances between the rows of A and B."""
+    return np.sqrt(np.maximum(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1), 0.0))
 
 
 def _euclidean_to_refs(vec_series: pd.Series, refs: np.ndarray) -> pd.Series:
@@ -147,20 +162,9 @@ def build_hd_index(
 
     # --- reference objects (Sec. 3.3) -----------------------------------
     n = data.count()
-    frac = min(1.0, (_REF_SAMPLE_CAP * 1.3) / max(n, 1))
-    sample_pdf = (
-        data.sample(fraction=frac, seed=params.seed).limit(_REF_SAMPLE_CAP).toPandas()
-        if frac < 1.0
-        else data.toPandas()
-    )
-    sample = np.vstack(sample_pdf["vec"].to_numpy())
+    sample = sample_vectors(data, n, _REF_SAMPLE_CAP, params.seed)
     ref_idx = select(sample, params.m, params.ref_method, f=params.ref_f, seed=params.seed)
     refs = sample[ref_idx].astype(np.float64)
-    rr = np.sqrt(
-        np.maximum(
-            ((refs[:, None, :] - refs[None, :, :]) ** 2).sum(-1), 0.0
-        )
-    )
 
     b_refs = sc.broadcast(refs)
 
@@ -181,7 +185,7 @@ def build_hd_index(
     return HDIndex(
         params=params,
         ref_vectors=refs,
-        ref_pairwise=rr,
+        ref_pairwise=pairwise_dists(refs, refs),
         trees=trees,
         hierarchies=hierarchies,
         base=base,

@@ -88,8 +88,8 @@ class HDIndexParams:
 
     Defaults follow the paper's recommendations (Sec. 5.2): m=10, tau=8,
     alpha=4096, gamma=alpha/4, triangular inequality only. ``beta`` is only
-    meaningful when ``use_ptolemaic`` — the recommended combined setting is
-    alpha/beta=1, beta/gamma=4 (Sec. 5.2.5).
+    read by ``knn_query(filters="both")`` (triangular then Ptolemaic) — the
+    recommended combined setting is alpha/beta=1, beta/gamma=4 (Sec. 5.2.5).
     """
 
     nu: int
@@ -100,9 +100,8 @@ class HDIndexParams:
     m: int = 10
     page_size: int = 4096
     alpha: int = 4096
-    beta: int | None = None  # defaults to alpha when Ptolemaic is enabled
+    beta: int | None = None  # filters="both" only; defaults to alpha
     gamma: int | None = None  # defaults to alpha // 4
-    use_ptolemaic: bool = False
     ref_method: str = "sss"
     ref_f: float = 0.3
     partition_scheme: str = "contiguous"

@@ -41,7 +41,7 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.build import HDIndex, subspace_keys
+from repro.core.build import HDIndex, pairwise_dists, subspace_keys
 
 __all__ = [
     "knn_query", "curve_candidates", "exact_dists", "top_k", "check_batch",
@@ -115,7 +115,8 @@ def empty_result() -> pd.DataFrame:
 def top_k(dists: pd.DataFrame, k: int) -> pd.DataFrame:
     """Each query's k nearest ``(qid, id, dist)`` rows as ``(qid, rank, id,
     dist)``, ordered by qid then rank. Ids must be unique per query, so
-    (dist, id) orders each query totally: ties go to the lower id."""
+    (dist, id) orders each query totally: ties go to the lower id. Every
+    method's final ranking goes through here."""
     top = dists.sort_values(["qid", "dist", "id"]).groupby("qid").head(k)
     top.insert(1, "rank", top.groupby("qid").cumcount() + 1)
     return top.reset_index(drop=True)
@@ -133,8 +134,8 @@ _DIST_SCHEMA = StructType(
 def exact_dists(base, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
     """Exact Euclidean distance of each ``(qid, id)`` pair: ``(qid, id, dist)``.
 
-    The one exact-distance kernel of HD-Index's re-rank and the C2LSH, QALSH
-    and OPQ checks. ``base`` is the ``(id, vec)`` table with unique ids. The
+    The one exact-distance kernel of HD-Index's re-rank and the C2LSH, QALSH,
+    SRS and OPQ checks. ``base`` is the ``(id, vec)`` table with unique ids. The
     pairs and ``queries`` are broadcast, and one ``mapInPandas`` pass over
     ``base`` scores the pairs whose id each batch holds: no join, no
     shuffle. One row per input pair whose id is in ``base``, in no
@@ -274,13 +275,7 @@ def knn_query(
         return result
     sc = index.base.sparkSession.sparkContext
 
-    q_rdist = np.sqrt(
-        np.maximum(
-            ((queries[:, None, :] - index.ref_vectors[None, :, :]) ** 2).sum(-1), 0.0
-        )
-    )  # (Q, m)
-
-    b_qr = sc.broadcast(q_rdist)
+    b_qr = sc.broadcast(pairwise_dists(queries, index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
 
     cand_schema = StructType(

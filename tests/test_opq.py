@@ -78,3 +78,27 @@ def test_adc_recall_above_chance_below_exact(opq, tiny_xq):
         true = ref[ref["qid"] == qid].sort_values("rank")["id"].tolist()
         recs.append(recall_at_k(mine, true, 10))
     assert 0.05 < np.mean(recs)
+
+
+def test_ranked_by_adc_distance_ties_by_id(opq, tiny_xq):
+    """Ranks follow the ADC distance from the codes and lookup tables, not the
+    reported true distance; equal ADC distances go to the lower id."""
+    X, Q = tiny_xq
+    k = 15
+    got = knn_opq(opq, Q, k)
+    pdf = opq.codes.toPandas()
+    ids = pdf["id"].to_numpy()
+    codes = np.vstack(pdf["code"].to_numpy())
+    Zq = Q @ opq.R
+    unordered = 0
+    for qid in range(len(Q)):
+        adist = np.zeros(len(codes))
+        for mi, dims in enumerate(opq.splits):
+            lut = ((opq.codebooks[mi] - Zq[qid, dims][None, :]) ** 2).sum(1)
+            adist += lut[codes[:, mi]]
+        want = ids[np.lexsort((ids, adist))[:k]]
+        mine = got[got["qid"] == qid].sort_values("rank")
+        assert mine["id"].tolist() == want.tolist()
+        unordered += bool((np.diff(mine["dist"].to_numpy()) < 0).any())
+    # the check can tell ADC order from true-distance order
+    assert unordered > 0

@@ -115,7 +115,6 @@ def test_params_defaults_match_paper_recommendations():
     p = HDIndexParams(nu=128, domain_lo=0, domain_hi=256)
     assert p.tau == 8 and p.m == 10 and p.alpha == 4096
     assert p.effective_gamma == 1024  # alpha / 4
-    assert not p.use_ptolemaic
     assert p.eta == 16
 
 
