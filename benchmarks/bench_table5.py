@@ -9,9 +9,12 @@ datasets (sun, sift40k, enron, glove) are covered by
 they are excluded here only to keep the benchmark suite's wall-clock sane.
 
 MAP@100 is asserted as a floor per method so a quality regression fails the
-bench run, not just a speed regression.
+bench run, not just a speed regression. The exact methods (linear scan,
+iDistance) must also return the brute-force answer row for row, distances
+bit-identical.
 """
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
@@ -26,7 +29,7 @@ from repro.core.build import build_hd_index
 from repro.core.query import knn_query
 from repro.harness.datasets import TABLE5_DATASETS, load_xq
 from repro.harness.table5 import hd_params_for
-from repro.metrics import map_at_k
+from repro.metrics import map_at_k, ranked_lists
 from repro.synth_data import vectors_df
 
 K = 100
@@ -35,7 +38,7 @@ BENCH_DATASETS = ["sift10k", "audio"]
 
 # MAP@100 floors per method (paper shape: hdindex/qalsh/hnsw high,
 # c2lsh/srs medium, opq low-but-above-zero; linear scan and iDistance are
-# exact, so they must equal the brute-force answer).
+# exact, so they must equal the brute-force answer, which _check also asserts).
 MAP_FLOORS = {
     "linear": 1.0,
     "idistance": 1.0,
@@ -59,13 +62,13 @@ def table5_ctx(spark):
         df = vectors_df(spark, X).persist()
         df.count()
         truth = bruteforce_topk(X, Q, K)
-        t_ids = [g.sort_values("rank")["id"].tolist() for _, g in truth.groupby("qid")]
         ctx[name] = {
             "spec": spec,
             "X": X,
             "Q": Q,
             "df": df,
-            "t_ids": t_ids,
+            "truth": truth,
+            "t_ids": ranked_lists(truth, len(Q))[0],
             "hd": build_hd_index(spark, df, hd_params_for(spec)),
             "mc": build_multicurves(spark, df, hd_params_for(spec)),
             "c2": build_c2lsh(spark, df, m=20),
@@ -79,9 +82,11 @@ def table5_ctx(spark):
 
 
 def _check(res, ctx, method):
-    g_ids = [g.sort_values("rank")["id"].tolist() for _, g in res.groupby("qid")]
+    g_ids, _ = ranked_lists(res, len(ctx["Q"]))
     m = map_at_k(g_ids, ctx["t_ids"], K)
     assert m >= MAP_FLOORS[method], f"{method} MAP@{K} regressed: {m:.3f}"
+    if method in ("linear", "idistance"):
+        pd.testing.assert_frame_equal(res, ctx["truth"], check_exact=True)
 
 
 @pytest.mark.parametrize("name", BENCH_DATASETS)

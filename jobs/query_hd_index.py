@@ -20,7 +20,7 @@ from repro.core.build import build_hd_index  # noqa: E402
 from repro.core.query import knn_query  # noqa: E402
 from repro.harness.datasets import TABLE5_DATASETS, load_xq  # noqa: E402
 from repro.harness.table5 import hd_params_for  # noqa: E402
-from repro.metrics import map_at_k  # noqa: E402
+from repro.metrics import map_at_k, ranked_lists  # noqa: E402
 from repro.synth_data import vectors_df  # noqa: E402
 
 
@@ -38,8 +38,8 @@ def main() -> None:
     res, stats = knn_query(idx, Q, args.k, filters=args.filters, return_stats=True)
     dt = time.perf_counter() - t0
     truth = bruteforce_topk(X, Q, args.k)
-    t_ids = [g.sort_values("rank")["id"].tolist() for _, g in truth.groupby("qid")]
-    g_ids = [g.sort_values("rank")["id"].tolist() for _, g in res.groupby("qid")]
+    t_ids, _ = ranked_lists(truth, len(Q))
+    g_ids, _ = ranked_lists(res, len(Q))
     print(
         f"{spec.name}: {1000*dt/len(Q):.1f} ms/query, "
         f"MAP@{args.k} = {map_at_k(g_ids, t_ids, args.k):.3f} (filters={args.filters}), "

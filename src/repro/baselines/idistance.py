@@ -13,7 +13,11 @@ Each round is one Spark job: a broadcast range join of the keyed table
 against the ring predicates — the analogue of the B+-tree range scans —
 whose rows already carry their vectors, so a pandas kernel scores them in
 the same pass (``query.exact_dists`` would need a second pass over the
-base). The finished queries' answers are ranked by ``query.top_k``. As in
+base). The finished queries' answers are ranked by ``query.top_k``.
+Distances follow ``repro.dist``'s rule: the ring kernel and the
+query-to-centre distances are exact (``euclidean``); only the build's
+nearest-centre assignment, whose ``cdist`` keys the rings, uses the block
+form. As in
 the paper, iDistance degenerates toward a full scan in high dimensions
 (every ring quickly covers every partition), which is exactly the
 inefficiency HD-Index's Table 5 reports.
@@ -29,8 +33,9 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
 from repro.baselines.linear_scan import knn_linear_scan
-from repro.core.build import pairwise_dists, sample_vectors
+from repro.core.build import sample_vectors
 from repro.core.query import top_k
+from repro.dist import block_dists, euclidean
 
 __all__ = ["IDistanceIndex", "build_idistance", "knn_idistance"]
 
@@ -72,13 +77,7 @@ def build_idistance(
         for pdf in batches:
             if pdf.empty:
                 continue
-            X = np.vstack(pdf["vec"].to_numpy())
-            d2 = (
-                (X**2).sum(1, keepdims=True)
-                - 2.0 * X @ C.T
-                + (C**2).sum(1)[None, :]
-            )
-            d = np.sqrt(np.maximum(d2, 0.0))
+            d = block_dists(np.vstack(pdf["vec"].to_numpy()), C)
             out = pdf.copy()
             out["center_id"] = d.argmin(1).astype(np.int64)
             out["cdist"] = d.min(1)
@@ -122,7 +121,7 @@ def knn_idistance(
     r0 = r0 if r0 is not None else 0.1 * scale
     dr = dr if dr is not None else 0.1 * scale
 
-    qc = pairwise_dists(queries, index.centers)  # (Q, C)
+    qc = euclidean(queries[:, None], index.centers)  # (Q, C)
 
     b_q = sc.broadcast(queries)
     res_schema = StructType(
@@ -167,9 +166,7 @@ def knn_idistance(
                         continue
                     X = np.vstack(pdf["vec"].to_numpy())
                     qs = pdf["qid"].to_numpy()
-                    d = np.sqrt(
-                        np.maximum(((X - Q[qs]) ** 2).sum(-1), 0.0)
-                    )
+                    d = euclidean(X, Q[qs])
                     yield pd.DataFrame(
                         {"qid": qs, "id": pdf["id"].to_numpy(), "dist": d}
                     )

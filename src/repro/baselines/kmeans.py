@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dist import sq_dists
+
 __all__ = ["kmeans"]
 
 
@@ -43,11 +45,7 @@ def kmeans(
 
     labels = np.zeros(n, dtype=np.int64)
     for _ in range(iters):
-        d2 = (
-            (X**2).sum(1, keepdims=True)
-            - 2.0 * X @ centers.T
-            + (centers**2).sum(1)[None, :]
-        )
+        d2 = sq_dists(X, centers)
         new_labels = d2.argmin(1)
         for c in range(k):
             mask = new_labels == c

@@ -3,9 +3,12 @@
 The paper uses linear scan both as the accuracy oracle (MAP/ratio ground
 truth) and as the efficiency strawman iDistance degenerates to. Here it is
 one ``mapInPandas`` pass: each Arrow batch scores every query of the
-broadcast query matrix against its rows and keeps its own k nearest per
-query, and the driver ranks those partials with ``query.top_k`` — O(n * nu)
-work, an O(batches * Q * k) merge.
+broadcast query matrix against its rows in ``repro.dist``'s block form,
+keeps its own k nearest per query, and reports their exact
+(``repro.dist.euclidean``) distances; the driver ranks those partials with
+``query.top_k`` — O(n * nu) work, an O(batches * Q * k) merge. The reported
+distances therefore equal ``bruteforce_topk``'s bit for bit, and a query
+that is a base vector is at distance 0.0.
 """
 from __future__ import annotations
 
@@ -15,6 +18,7 @@ from pyspark.sql import DataFrame
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.query import top_k
+from repro.dist import block_dists, euclidean
 
 __all__ = ["knn_linear_scan", "bruteforce_topk"]
 
@@ -58,20 +62,14 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
             X = np.vstack(pdf["vec"].to_numpy())
             ids = pdf["id"].to_numpy()
             Q = b_q.value
-            # (Q, b) distance block via the stable expansion
-            d2 = (
-                (Q**2).sum(1, keepdims=True)
-                - 2.0 * Q @ X.T
-                + (X**2).sum(1)[None, :]
-            )
-            d = np.sqrt(np.maximum(d2, 0.0))
+            d = block_dists(Q, X)  # (Q, b), only to choose each query's kk rows
             kk = min(k, d.shape[1])
             part = np.argpartition(d, kk - 1, axis=1)[:, :kk]
             yield pd.DataFrame(
                 {
                     "qid": np.repeat(np.arange(len(Q)), kk),
                     "id": ids[part].ravel(),
-                    "dist": np.take_along_axis(d, part, axis=1).ravel(),
+                    "dist": euclidean(X[part], Q[:, None, :]).ravel(),
                 }
             )
 

@@ -23,6 +23,7 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 from repro.core.build import build_curve_trees
 from repro.core.params import HDIndexParams
 from repro.core.query import check_batch, curve_candidates, empty_result, top_k
+from repro.dist import euclidean
 
 __all__ = ["MulticurvesIndex", "mc_leaf_order", "build_multicurves", "knn_multicurves"]
 
@@ -50,18 +51,12 @@ class MulticurvesIndex:
 
 
 def build_multicurves(
-    spark: SparkSession,
-    data: DataFrame,
-    params: HDIndexParams,
-    *,
-    n_partitions: int | None = None,
+    spark: SparkSession, data: DataFrame, params: HDIndexParams
 ) -> MulticurvesIndex:
     """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order."""
     n = data.count()
     order = mc_leaf_order(params.eta, params.omega, params.nu, params.page_size)
-    trees, hierarchies = build_curve_trees(
-        spark, data, params, "vec", order, n_partitions=n_partitions
-    )
+    trees, hierarchies = build_curve_trees(spark, data, params, "vec", order)
     return MulticurvesIndex(params, trees, hierarchies, n, order)
 
 
@@ -85,7 +80,7 @@ def knn_multicurves(
     def score(qid, sel):
         X = np.vstack(sel["vec"].to_numpy())
         q = b_q.value[qid]
-        d = np.sqrt(np.maximum(((X - q[None, :]) ** 2).sum(-1), 0.0))
+        d = euclidean(X, q[None, :])
         return pd.DataFrame(
             {"qid": qid, "id": sel["id"].to_numpy(), "dist": d}
         ).astype({"qid": "int64", "id": "int64"})

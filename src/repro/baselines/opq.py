@@ -26,6 +26,7 @@ from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, Stru
 from repro.baselines.kmeans import kmeans
 from repro.core.build import sample_vectors
 from repro.core.query import exact_dists, top_k
+from repro.dist import sq_dists
 
 __all__ = ["OPQIndex", "build_opq", "knn_opq"]
 
@@ -88,14 +89,7 @@ def build_opq(
         Xb = np.vstack(vec.to_numpy()) @ b_R.value
         cols = []
         for mi, dims in enumerate(b_splits.value):
-            C = b_books.value[mi]
-            sub = Xb[:, dims]
-            d2 = (
-                (sub**2).sum(1)[:, None]
-                - 2.0 * sub @ C.T
-                + (C**2).sum(1)[None, :]
-            )
-            cols.append(d2.argmin(1))
+            cols.append(sq_dists(Xb[:, dims], b_books.value[mi]).argmin(1))
         return pd.Series(list(np.stack(cols, axis=1).astype(np.int64)))
 
     codes = data.select("id", code_udf("vec").alias("code")).persist()

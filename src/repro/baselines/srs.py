@@ -30,6 +30,7 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.core.query import exact_dists, top_k
+from repro.dist import block_dists
 
 __all__ = ["SRSIndex", "build_srs", "knn_srs"]
 
@@ -101,12 +102,7 @@ def knn_srs(
             if pdf.empty:
                 continue
             P = np.vstack(pdf["p"].to_numpy())  # (b, m')
-            d2 = (
-                (P**2).sum(1)[:, None]
-                - 2.0 * P @ qp.T
-                + (qp**2).sum(1)[None, :]
-            )  # (b, Q)
-            d = np.sqrt(np.maximum(d2, 0.0))
+            d = block_dists(P, qp)  # (b, Q)
             kk = min(budget + 1, d.shape[0])
             ids = pdf["id"].to_numpy()
             frames = []

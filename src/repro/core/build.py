@@ -4,7 +4,10 @@ Pipeline per the paper, in Spark:
 
 1. choose m reference objects (Sec. 3.3) from a driver-side sample;
 2. one pass over the data computing, via a pandas UDF against the broadcast
-   reference matrix, each object's distances to all references (``rdist``);
+   reference matrix, each object's distances to all references (``rdist``)
+   in ``repro.dist``'s block form: a filter input, so the expansion's
+   ~|x|^2 * eps rounding is acceptable, while the query-to-reference and
+   reference-to-reference distances it is compared with are exact;
 3. per dimension partition P_i, a pandas UDF quantises the sub-vector and
    emits the Hilbert key (hex, fixed width) of curve order omega;
 4. per tree, rows ``(id, hkey, rdist)`` are globally sorted by key and
@@ -23,13 +26,14 @@ used by the final exact re-ranking step of the query.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, StringType
 
+from repro.dist import block_dists, euclidean
 from repro.hilbert.curve import hilbert_keys, quantize
 from repro.refsel.selection import select
 from repro.core.params import HDIndexParams
@@ -37,7 +41,7 @@ from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
 
 __all__ = [
     "HDIndex", "build_hd_index", "build_curve_trees", "load_hd_index_trees", "subspace_keys",
-    "sample_vectors", "pairwise_dists",
+    "sample_vectors",
 ]
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
@@ -54,8 +58,6 @@ class HDIndex:
     hierarchies: list  # list[FenceHierarchy]
     base: DataFrame  # (id, vec)
     n: int
-    parquet_dir: str | None = None
-    build_stats: dict = field(default_factory=dict)
 
 
 def sample_vectors(data: DataFrame, n: int, cap: int, seed: int) -> np.ndarray:
@@ -69,23 +71,6 @@ def sample_vectors(data: DataFrame, n: int, cap: int, seed: int) -> np.ndarray:
         else data.toPandas()
     )
     return np.vstack(pdf["vec"].to_numpy())
-
-
-def pairwise_dists(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """(len(A), len(B)) Euclidean distances between the rows of A and B."""
-    return np.sqrt(np.maximum(((A[:, None, :] - B[None, :, :]) ** 2).sum(-1), 0.0))
-
-
-def _euclidean_to_refs(vec_series: pd.Series, refs: np.ndarray) -> pd.Series:
-    X = np.vstack(vec_series.to_numpy())
-    # (n, m) distances via the stable expansion; refs is small (m ~ 10).
-    d2 = (
-        (X**2).sum(axis=1, keepdims=True)
-        - 2.0 * X @ refs.T
-        + (refs**2).sum(axis=1)[None, :]
-    )
-    d = np.sqrt(np.maximum(d2, 0.0))
-    return pd.Series(list(d))
 
 
 def subspace_keys(X: np.ndarray, dims, params: HDIndexParams) -> np.ndarray:
@@ -117,7 +102,6 @@ def build_curve_trees(
     order: int,
     *,
     parquet_dir: str | None = None,
-    n_partitions: int | None = None,
 ) -> tuple[list, list]:
     """One key-sorted tree per dimension partition, plus its fence hierarchy.
 
@@ -130,7 +114,7 @@ def build_curve_trees(
     trees, hierarchies = [], []
     for i, dims in enumerate(params.partitions):
         tree = source.select("id", _hkey_udf(dims, params)("vec").alias("hkey"), payload)
-        tree = assign_leaves(tree, "hkey", order, n_partitions=n_partitions)
+        tree = assign_leaves(tree, "hkey", order)
         if parquet_dir is not None:
             path = os.path.join(parquet_dir, f"tree_{i}")
             tree.write.mode("overwrite").parquet(path)
@@ -147,7 +131,6 @@ def build_hd_index(
     params: HDIndexParams,
     *,
     parquet_dir: str | None = None,
-    n_partitions: int | None = None,
 ) -> HDIndex:
     """Run Algo 1 over ``data`` — a DataFrame with ``id: long`` and
     ``vec: array<double>`` of length ``params.nu``.
@@ -170,7 +153,7 @@ def build_hd_index(
 
     @F.pandas_udf(ArrayType(DoubleType()))
     def rdist_udf(vec: pd.Series) -> pd.Series:
-        return _euclidean_to_refs(vec, b_refs.value)
+        return pd.Series(list(block_dists(np.vstack(vec.to_numpy()), b_refs.value)))
 
     with_rdist = data.withColumn("rdist", rdist_udf("vec"))
 
@@ -179,19 +162,17 @@ def build_hd_index(
 
     trees, hierarchies = build_curve_trees(
         spark, with_rdist, params, "rdist", params.leaf_order,
-        parquet_dir=parquet_dir, n_partitions=n_partitions,
+        parquet_dir=parquet_dir,
     )
 
     return HDIndex(
         params=params,
         ref_vectors=refs,
-        ref_pairwise=pairwise_dists(refs, refs),
+        ref_pairwise=euclidean(refs[:, None], refs),
         trees=trees,
         hierarchies=hierarchies,
         base=base,
         n=n,
-        parquet_dir=parquet_dir,
-        build_stats={"n": n, "m": params.m, "tau": len(params.partitions)},
     )
 
 

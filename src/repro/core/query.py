@@ -41,7 +41,8 @@ from pyspark.sql.types import (
     StructType,
 )
 
-from repro.core.build import HDIndex, pairwise_dists, subspace_keys
+from repro.core.build import HDIndex, subspace_keys
+from repro.dist import euclidean
 
 __all__ = [
     "knn_query", "curve_candidates", "exact_dists", "top_k", "check_batch",
@@ -167,7 +168,7 @@ def exact_dists(base, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
                 continue
             rows, qs = rows[hit], pq[hit]
             X = np.vstack(pdf["vec"].to_numpy()[rows])
-            d = np.sqrt(np.maximum(((X - Q[qs]) ** 2).sum(-1), 0.0))
+            d = euclidean(X, Q[qs])
             yield pd.DataFrame({"qid": qs, "id": ids[rows], "dist": d})
 
     return base.select("id", "vec").mapInPandas(kernel, _DIST_SCHEMA).toPandas()
@@ -275,7 +276,7 @@ def knn_query(
         return result
     sc = index.base.sparkSession.sparkContext
 
-    b_qr = sc.broadcast(pairwise_dists(queries, index.ref_vectors))  # (Q, m)
+    b_qr = sc.broadcast(euclidean(queries[:, None], index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
 
     cand_schema = StructType(

@@ -33,9 +33,7 @@ from pyspark.sql.types import LongType, StructField, StructType
 __all__ = ["assign_leaves", "leaf_fences", "FenceHierarchy"]
 
 
-def assign_leaves(
-    df: DataFrame, key_col: str, leaf_order: int, *, n_partitions: int | None = None
-) -> DataFrame:
+def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
     """Bucket rows into RDB-tree leaves of exactly ``leaf_order`` slots.
 
     Adds ``leaf_id`` (0-based, contiguous in global ``key_col`` order) and
@@ -48,8 +46,7 @@ def assign_leaves(
     if leaf_order < 1:
         raise ValueError("leaf_order must be >= 1")
     sort_cols = [key_col, "id"]
-    if n_partitions is None:
-        n_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism // 2)
+    n_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism // 2)
     part = df.repartitionByRange(n_partitions, *sort_cols).sortWithinPartitions(
         *sort_cols
     )

@@ -13,7 +13,7 @@ from repro.baselines.linear_scan import bruteforce_topk
 from repro.core.build import build_hd_index
 from repro.core.params import HDIndexParams
 from repro.core.query import knn_query
-from repro.metrics import map_at_k
+from repro.metrics import map_at_k, ranked_lists
 
 __all__ = ["random_partitioning_study"]
 
@@ -30,9 +30,7 @@ def random_partitioning_study(
 ) -> dict:
     """MAP@k under ``n_trials`` random partitionings + the contiguous one."""
     truth = bruteforce_topk(X, Q, k)
-    t_ids = [
-        g.sort_values("rank")["id"].tolist() for _, g in truth.groupby("qid")
-    ]
+    t_ids, _ = ranked_lists(truth, len(Q))
 
     def one(scheme: str, seed: int) -> float:
         p = HDIndexParams(
@@ -49,9 +47,7 @@ def random_partitioning_study(
         )
         idx = build_hd_index(spark, df, p)
         res = knn_query(idx, Q, k, filters="tri")
-        g_ids = [
-            g.sort_values("rank")["id"].tolist() for _, g in res.groupby("qid")
-        ]
+        g_ids, _ = ranked_lists(res, len(Q))
         return map_at_k(g_ids, t_ids, k)
 
     random_maps = [one("random", s) for s in range(1, n_trials + 1)]

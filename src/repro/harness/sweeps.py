@@ -15,18 +15,13 @@ from repro.baselines.linear_scan import bruteforce_topk
 from repro.core.build import build_hd_index
 from repro.core.params import HDIndexParams
 from repro.core.query import knn_query
-from repro.metrics import approximation_ratio, map_at_k
+from repro.metrics import map_at_k, ranked_lists
 
 __all__ = ["sweep_alpha", "sweep_filters"]
 
 
-def _quality(res, truth, k):
-    t = {q: g.sort_values("rank") for q, g in truth.groupby("qid")}
-    g_ids, t_ids = [], []
-    for qid, g in res.groupby("qid"):
-        g_ids.append(g.sort_values("rank")["id"].tolist())
-        t_ids.append(t[qid]["id"].tolist())
-    return map_at_k(g_ids, t_ids, k)
+def _quality(res, truth, nq, k):
+    return map_at_k(ranked_lists(res, nq)[0], ranked_lists(truth, nq)[0], k)
 
 
 def sweep_alpha(
@@ -39,7 +34,7 @@ def sweep_alpha(
         t0 = time.perf_counter()
         res = knn_query(index, Q, k, alpha=a, gamma=max(1, a // 4), filters="tri")
         dt = time.perf_counter() - t0
-        rows.append({"alpha": a, "map": _quality(res, truth, k), "query_s": dt})
+        rows.append({"alpha": a, "map": _quality(res, truth, len(Q), k), "query_s": dt})
     return rows
 
 
@@ -56,5 +51,5 @@ def sweep_filters(
         t0 = time.perf_counter()
         res = knn_query(index, Q, k, alpha=alpha, beta=beta, gamma=gamma, filters=mode)
         dt = time.perf_counter() - t0
-        rows.append({"filters": mode, "map": _quality(res, truth, k), "query_s": dt})
+        rows.append({"filters": mode, "map": _quality(res, truth, len(Q), k), "query_s": dt})
     return rows

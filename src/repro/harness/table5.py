@@ -34,7 +34,7 @@ from repro.core.build import build_hd_index
 from repro.core.params import HDIndexParams
 from repro.core.query import knn_query
 from repro.harness.datasets import DatasetSpec, load_xq
-from repro.metrics import approximation_ratio, map_at_k
+from repro.metrics import approximation_ratio, map_at_k, ranked_lists
 from repro.synth_data import vectors_df
 
 __all__ = ["MethodResult", "run_method", "run_dataset", "format_table5_row", "ALL_METHODS"]
@@ -59,15 +59,6 @@ class MethodResult:
     query_ms_per_query: float
     map_k: float
     ratio: float
-
-
-def _result_lists(res: pd.DataFrame, nq: int):
-    ids, dists = [], []
-    for qid in range(nq):
-        g = res[res["qid"] == qid].sort_values("rank")
-        ids.append(g["id"].tolist())
-        dists.append(g["dist"].tolist())
-    return ids, dists
 
 
 def _ratio_lenient(got_d, true_d, k):
@@ -159,12 +150,12 @@ def run_dataset(
     df.count()
 
     truth = bruteforce_topk(X, Q, k)
-    t_ids, t_dists = _result_lists(truth, len(Q))
+    t_ids, t_dists = ranked_lists(truth, len(Q))
 
     results: dict[str, MethodResult] = {}
     for m in methods:
         res, b_s, q_s = run_method(spark, m, df, X, Q, spec, k)
-        g_ids, g_dists = _result_lists(res, len(Q))
+        g_ids, g_dists = ranked_lists(res, len(Q))
         mp = map_at_k(g_ids, t_ids, k)
         ratios = [
             _ratio_lenient(gd, td, k) for gd, td in zip(g_dists, t_dists)

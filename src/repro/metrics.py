@@ -14,8 +14,12 @@ from __future__ import annotations
 from typing import Sequence
 
 import numpy as np
+import pandas as pd
 
-__all__ = ["average_precision_at_k", "map_at_k", "approximation_ratio", "recall_at_k"]
+__all__ = [
+    "average_precision_at_k", "map_at_k", "approximation_ratio", "recall_at_k",
+    "ranked_lists",
+]
 
 
 def average_precision_at_k(retrieved: Sequence, truth: Sequence, k: int) -> float:
@@ -83,3 +87,14 @@ def approximation_ratio(
 def recall_at_k(retrieved: Sequence, truth: Sequence, k: int) -> float:
     """|retrieved@k ∩ truth@k| / k — used in tests as a coarse sanity floor."""
     return len(set(list(retrieved)[:k]) & set(list(truth)[:k])) / k
+
+
+def ranked_lists(res: pd.DataFrame, nq: int) -> tuple[list, list]:
+    """Per-query ``(ids, dists)`` lists in rank order for qids 0..nq-1, from a
+    ``(qid, rank, id, dist)`` answer; a query with no rows gets empty lists."""
+    ids, dists = [], []
+    for qid in range(nq):
+        g = res[res["qid"] == qid].sort_values("rank")
+        ids.append(g["id"].tolist())
+        dists.append(g["dist"].tolist())
+    return ids, dists

@@ -16,11 +16,9 @@ from __future__ import annotations
 
 import numpy as np
 
+from repro.dist import euclidean
+
 __all__ = ["estimate_dmax", "select_random", "select_sss", "select_sss_dyn", "select"]
-
-
-def _dists_to(X: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.sqrt(np.maximum(((X - v) ** 2).sum(axis=1), 0.0))
 
 
 def estimate_dmax(X: np.ndarray, *, iters: int = 10, seed: int = 0) -> float:
@@ -34,7 +32,7 @@ def estimate_dmax(X: np.ndarray, *, iters: int = 10, seed: int = 0) -> float:
     cur = int(rng.integers(0, len(X)))
     best = 0.0
     for _ in range(max(1, iters)):
-        d = _dists_to(X, X[cur])
+        d = euclidean(X, X[cur])
         far = int(np.argmax(d))
         if d[far] <= best:
             break
@@ -77,7 +75,7 @@ def select_sss(
             i = int(idx)
             if i in set(chosen):
                 continue
-            d = _dists_to(pivots, X[i])
+            d = euclidean(pivots, X[i])
             if np.all(d > thresh):
                 chosen.append(i)
                 added = True
@@ -103,7 +101,7 @@ def _pair_contribution(X, pivots_idx, pairs):
     """
     contrib = np.zeros(len(pivots_idx))
     for j, p in enumerate(pivots_idx):
-        dp = _dists_to(X[[a for a, _ in pairs]], X[p]) - _dists_to(
+        dp = euclidean(X[[a for a, _ in pairs]], X[p]) - euclidean(
             X[[b for _, b in pairs]], X[p]
         )
         contrib[j] = float(np.abs(dp).mean())
@@ -145,7 +143,7 @@ def select_sss_dyn(
             break
         if i in set(chosen):
             continue
-        d = _dists_to(X[chosen], X[i])
+        d = euclidean(X[chosen], X[i])
         if not np.all(d > thresh):
             continue
         examined += 1

@@ -91,11 +91,6 @@ def test_hierarchy_consistent_with_fences(tiny_index):
         assert h.n_leaves == len(h.fences)
 
 
-def test_build_stats(tiny_index, tiny_params):
-    assert tiny_index.build_stats["n"] == tiny_index.n
-    assert tiny_index.build_stats["tau"] == tiny_params.tau
-
-
 def test_parquet_roundtrip(spark, tmp_path):
     """Disk-persisted trees equal the in-memory build row-for-row."""
     X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=3)

@@ -1,21 +1,19 @@
 """Tests for the exact linear-scan baseline (ground truth generator)."""
 import numpy as np
 import pandas as pd
-import pytest
 
 from repro.baselines.linear_scan import bruteforce_topk, knn_linear_scan
 from repro.oracle import assert_equivalent
 
 
 def test_matches_numpy_bruteforce(spark, tiny_df, tiny_xq):
+    """Row for row, dtypes and distance bits included, on the queries and on
+    base vectors used as queries."""
     X, Q = tiny_xq
-    got = knn_linear_scan(tiny_df, Q, k=10)
-    ref = bruteforce_topk(X, Q, k=10)
-    pd.testing.assert_frame_equal(
-        got.sort_values(["qid", "rank"]).reset_index(drop=True),
-        ref.sort_values(["qid", "rank"]).reset_index(drop=True),
-        check_dtype=False,
-    )
+    for queries in (Q, X[:4]):
+        got = knn_linear_scan(tiny_df, queries, k=10)
+        ref = bruteforce_topk(X, queries, k=10)
+        pd.testing.assert_frame_equal(got, ref, check_exact=True)
 
 
 def test_matches_duckdb_oracle(spark, tiny_df, tiny_xq):
@@ -60,9 +58,12 @@ def test_k_larger_than_n(spark, tiny_df, tiny_xq):
 
 def test_query_in_database_found_at_rank_one(spark, tiny_df, tiny_xq):
     X, _ = tiny_xq
-    got = knn_linear_scan(tiny_df, X[[17]], k=3)
-    assert got.iloc[0]["id"] == 17
-    assert got.iloc[0]["dist"] == pytest.approx(0.0)
+    ids = [17, 1]
+    got = knn_linear_scan(tiny_df, X[ids], k=3)
+    first = got[got["rank"] == 1].set_index("qid")
+    for qid, i in enumerate(ids):
+        assert first.loc[qid, "id"] == i
+        assert first.loc[qid, "dist"] == 0.0
 
 
 def test_distances_nondecreasing_within_query(spark, tiny_df, tiny_xq):
