@@ -7,9 +7,12 @@ nu=128 at 8 bytes/dim only ~3 entries fit a 4 KB page, the paper's Sec. 3.2
 argument and the 1.2 TB index of Sec. 5.4.3). A query takes the alpha
 nearest-by-key entries per curve and re-ranks the union by exact distance.
 
-Trees come from HD-Index's ``build_curve_trees`` at the Multicurves leaf
-order with ``vec`` as the leaf payload, and candidates from HD-Index's
-``curve_candidates``; only the exact-distance top-k is Multicurves' own.
+Trees and their union come from HD-Index's ``build_curve_trees`` at the
+Multicurves leaf order with ``vec`` as the leaf payload, and candidates from
+HD-Index's ``curve_candidates``, whose kernel scores each kept row with its
+exact distance to the query, since the vector sits in the leaf. The driver
+drops the (qid, id) duplicates across trees and keeps the top k; no base
+pass is needed.
 """
 from __future__ import annotations
 
@@ -18,7 +21,6 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.build import build_curve_trees
 from repro.core.params import HDIndexParams
@@ -46,6 +48,7 @@ class MulticurvesIndex:
     params: HDIndexParams  # reuses nu/domain/tau/omega/partitions
     trees: list
     hierarchies: list
+    leaves: DataFrame  # (tree_id, id, hkey, leaf_id, vec): the trees' union
     n: int
     leaf_order: int
 
@@ -56,8 +59,8 @@ def build_multicurves(
     """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order."""
     n = data.count()
     order = mc_leaf_order(params.eta, params.omega, params.nu, params.page_size)
-    trees, hierarchies = build_curve_trees(spark, data, params, "vec", order)
-    return MulticurvesIndex(params, trees, hierarchies, n, order)
+    trees, hierarchies, leaves = build_curve_trees(spark, data, params, "vec", order)
+    return MulticurvesIndex(params, trees, hierarchies, leaves, n, order)
 
 
 def knn_multicurves(
@@ -67,27 +70,10 @@ def knn_multicurves(
     queries = check_batch(index.params, queries, k, alpha)
     if len(queries) == 0:
         return empty_result()
-    b_q = index.trees[0].sparkSession.sparkContext.broadcast(queries)
+    b_q = index.leaves.sparkSession.sparkContext.broadcast(queries)
 
-    cand_schema = StructType(
-        [
-            StructField("qid", LongType()),
-            StructField("id", LongType()),
-            StructField("dist", DoubleType()),
-        ]
-    )
+    def score(qid, vec):
+        return {"dist": euclidean(vec, b_q.value[qid][None, :])}
 
-    def score(qid, sel):
-        X = np.vstack(sel["vec"].to_numpy())
-        q = b_q.value[qid]
-        d = euclidean(X, q[None, :])
-        return pd.DataFrame(
-            {"qid": qid, "id": sel["id"].to_numpy(), "dist": d}
-        ).astype({"qid": "int64", "id": "int64"})
-
-    cands = (
-        curve_candidates(index, queries, alpha, "vec", score, cand_schema)
-        .dropDuplicates(["qid", "id"])
-        .toPandas()
-    )
-    return top_k(cands, k)
+    cands = curve_candidates(index, queries, alpha, "vec", score, ["dist"])
+    return top_k(cands[["qid", "id", "dist"]].drop_duplicates(["qid", "id"]), k)

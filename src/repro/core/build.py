@@ -15,16 +15,21 @@ Pipeline per the paper, in Spark:
    range-partitioned in key order; leaf fences are collected and folded
    into the driver-side ``FenceHierarchy``. The Multicurves baseline builds
    its trees with the same loop (``build_curve_trees``), storing vectors
-   instead of ``rdist``.
+   instead of ``rdist``;
+5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
+   coalesced to the default parallelism — is the one table a query's
+   candidate pass scans. It is a plan over the cached (or Parquet) trees,
+   not a further cache.
 
 The returned :class:`HDIndex` holds the tree DataFrames (cached, and
-optionally persisted to Parquet — the disk-resident form), the fence
-hierarchies, the reference vectors and their pairwise distances (needed by
-the Ptolemaic filter's denominators), and the base ``(id, vec)`` DataFrame
-used by the final exact re-ranking step of the query.
+optionally persisted to Parquet — the disk-resident form), their union, the
+fence hierarchies, the reference vectors and their pairwise distances
+(needed by the Ptolemaic filter's denominators), and the base ``(id, vec)``
+DataFrame used by the final exact re-ranking step of the query.
 """
 from __future__ import annotations
 
+import functools
 import os
 from dataclasses import dataclass
 
@@ -56,6 +61,7 @@ class HDIndex:
     ref_pairwise: np.ndarray  # (m, m) distances between references
     trees: list  # list[DataFrame] with (id, hkey, rdist, leaf_id, slot)
     hierarchies: list  # list[FenceHierarchy]
+    leaves: DataFrame  # (tree_id, id, hkey, leaf_id, rdist): the trees' union
     base: DataFrame  # (id, vec)
     n: int
 
@@ -102,14 +108,18 @@ def build_curve_trees(
     order: int,
     *,
     parquet_dir: str | None = None,
-) -> tuple[list, list]:
-    """One key-sorted tree per dimension partition, plus its fence hierarchy.
+) -> tuple[list, list, DataFrame]:
+    """One key-sorted tree per dimension partition, its fence hierarchy, and
+    the union of the trees that queries scan.
 
     ``source`` holds ``id``, ``vec`` and the ``payload`` column the leaves
     store (``rdist`` for HD-Index, ``vec`` for Multicurves); ``order`` is the
     leaf order. Each tree is ``(id, hkey, payload, leaf_id, slot)``, cached
     in memory or, with ``parquet_dir``, written to ``{parquet_dir}/tree_{i}``
-    and re-read from disk.
+    and re-read from disk. The union ``leaves`` is ``(tree_id, id, hkey,
+    leaf_id, payload)`` coalesced to the default parallelism, so one scan of
+    it is one wave of tasks; it is not persisted itself and reads the cached
+    trees or the Parquet files.
     """
     trees, hierarchies = [], []
     for i, dims in enumerate(params.partitions):
@@ -122,7 +132,14 @@ def build_curve_trees(
             tree = spark.read.parquet(path)
         hierarchies.append(FenceHierarchy(leaf_fences(tree), params.branching))
         trees.append(tree)
-    return trees, hierarchies
+    leaves = functools.reduce(
+        DataFrame.unionByName,
+        [
+            tree.select(F.lit(t).cast("long").alias("tree_id"), "id", "hkey", "leaf_id", payload)
+            for t, tree in enumerate(trees)
+        ],
+    ).coalesce(spark.sparkContext.defaultParallelism)
+    return trees, hierarchies, leaves
 
 
 def build_hd_index(
@@ -160,7 +177,7 @@ def build_hd_index(
     base = data.persist()
     base.count()
 
-    trees, hierarchies = build_curve_trees(
+    trees, hierarchies, leaves = build_curve_trees(
         spark, with_rdist, params, "rdist", params.leaf_order,
         parquet_dir=parquet_dir,
     )
@@ -171,6 +188,7 @@ def build_hd_index(
         ref_pairwise=euclidean(refs[:, None], refs),
         trees=trees,
         hierarchies=hierarchies,
+        leaves=leaves,
         base=base,
         n=n,
     )

@@ -5,21 +5,25 @@ For a batch of queries the three phases of the paper map onto:
 1. **candidate retrieval** (``curve_candidates``, shared with the
    Multicurves baseline) — on the driver, each (query, tree) pair bisects
    the leaf fences to a centre leaf and widens to the smallest leaf window
-   guaranteed to contain the alpha nearest-by-key entries; the exploded
-   ``(tree_id, qid, leaf_id)`` probe set is broadcast-joined against the
-   union of tree DataFrames, and each (tree, query) group keeps its alpha
-   entries nearest by absolute Hilbert-key distance. The join reads every
-   row of every tree: the windows bound what reaches the funnel, not what
-   is scanned, so this is not yet the paper's O(log n + alpha/Omega) page
-   reads. Probing metadata is tiny, hence the explicit ``broadcast`` hint
-   (the session default disables broadcast joins).
-2. **filter funnel** — in the same ``applyInPandas`` group, the triangular
-   bound (Eq. 5) keeps beta and optionally the Ptolemaic bound (Eq. 6)
-   keeps gamma — using only the leaf-resident reference distances, never
-   the vectors, exactly the paper's I/O argument.
+   guaranteed to contain the alpha nearest-by-key entries. The
+   ``(tree_id, qid, lo_leaf, hi_leaf)`` windows and the query keys are
+   broadcast, and one ``mapInPandas`` pass over the index's tree union
+   ``leaves`` keeps, for every window an Arrow batch overlaps, the batch's
+   alpha rows nearest by exact ``|key - q|`` (int64 limbs of 60 bits, ties
+   by id), scored next to the data. The driver merges the batch-local sets
+   into the exact alpha nearest per (tree, query). No join and no shuffle,
+   but the pass reads every row of every tree: the windows bound what is
+   kept, not what is scanned, so this is not yet the paper's
+   O(log n + alpha/Omega) page reads.
+2. **filter funnel** — the kernel scores each kept row with the triangular
+   bound (Eq. 5) and, in ``both`` mode, the Ptolemaic bound (Eq. 6), using
+   only the leaf-resident reference distances, never the vectors, exactly
+   the paper's I/O argument. The driver then keeps per (tree, query) the
+   gamma rows smallest by the triangular bound (``tri``), or beta by it and
+   then gamma by the Ptolemaic bound (``both``), ties in key order.
 3. **exact re-rank** (``exact_dists``) — the per-tree gamma-sets (at most
-   tau*gamma narrow ``(qid, id)`` rows per query) are collected and
-   deduplicated on the driver, giving kappa candidates per query. The pairs
+   tau*gamma narrow ``(qid, id)`` rows per query) are deduplicated on the
+   driver, giving kappa candidates per query. The pairs
    and the query matrix are broadcast, one ``mapInPandas`` pass over the
    cached base ``(id, vec)`` table scores the pairs whose id each batch
    holds, and the driver keeps each query's top k by (dist, id). No join,
@@ -33,7 +37,6 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import functions as F
 from pyspark.sql.types import (
     DoubleType,
     LongType,
@@ -45,8 +48,9 @@ from repro.core.build import HDIndex, subspace_keys
 from repro.dist import euclidean
 
 __all__ = [
-    "knn_query", "curve_candidates", "exact_dists", "top_k", "check_batch",
-    "empty_result", "query_hilbert_keys", "triangular_bounds", "ptolemaic_bounds",
+    "knn_query", "curve_candidates", "key_limbs", "key_dist", "key_order", "exact_dists", "top_k",
+    "check_batch", "empty_result", "query_hilbert_keys", "triangular_bounds",
+    "ptolemaic_bounds",
 ]
 
 
@@ -174,56 +178,166 @@ def exact_dists(base, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
     return base.select("id", "vec").mapInPandas(kernel, _DIST_SCHEMA).toPandas()
 
 
-def _probe_frame(index, qkeys_per_tree, alpha: int) -> pd.DataFrame:
-    """Driver-side leaf lookups: one row per (tree, qid, probed leaf)."""
-    rows = []
-    for t, (hier, qkeys) in enumerate(zip(index.hierarchies, qkeys_per_tree)):
-        for qid, qk in enumerate(qkeys):
-            centre = hier.lookup(qk)
-            lo, hi = hier.window(centre, alpha)
-            for leaf in range(lo, hi + 1):
-                rows.append((t, qid, leaf))
-    return pd.DataFrame(rows, columns=["tree_id", "qid", "leaf_id"])
+_LIMB_HEX = 15  # hex digits per int64 limb: 60 bits, so limb differences and borrows fit
 
 
-def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, finish, schema):
+def key_limbs(keys) -> np.ndarray:
+    """Fixed-width lowercase hex keys as an (n, L) int64 array of 60-bit
+    limbs, most significant first; the keys are left-padded with zeros to L
+    limbs of 15 hex digits, so any key width works."""
+    keys = np.asarray(keys, dtype=str)
+    width = keys.dtype.itemsize // 4
+    n_limbs = max(1, -(-width // _LIMB_HEX))
+    codes = keys.view(np.uint32).reshape(len(keys), width).astype(np.int64)
+    digits = np.zeros((len(keys), n_limbs * _LIMB_HEX), dtype=np.int64)
+    digits[:, digits.shape[1] - width :] = codes - np.where(codes > 57, 87, 48)
+    limbs = np.zeros((len(keys), n_limbs), dtype=np.int64)
+    for j in range(_LIMB_HEX):  # Horner over each limb's digits
+        limbs = limbs * 16 + digits[:, j::_LIMB_HEX]
+    return limbs
+
+
+def key_dist(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Exact ``|key - q|`` as limbs in [0, 2^60): ``keys`` (n, L) and ``q``
+    (L,) from :func:`key_limbs`. Lexicographic order of the rows is numeric
+    order of the distances."""
+    d = keys - q
+    lead = d[np.arange(len(d)), (d != 0).argmax(1)]  # 0 when keys == q
+    d[lead < 0] *= -1
+    for i in range(d.shape[1] - 1, 0, -1):  # borrow pass, least significant first
+        low = d[:, i] < 0
+        d[low, i] += 1 << 60
+        d[low, i - 1] -= 1
+    return d
+
+
+def key_order(limbs: list, ids: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
+    """Exact row order by (``group``, key distance, id); the distance is given
+    as its limb columns, most significant first (:func:`key_dist`).
+
+    One sort runs on a float prefix of each distance: its leading nonzero
+    limb at that limb's binary scale, then, when that limb is exact in a
+    float (< 2^53), the limb below it. The prefix never decreases as the
+    distance grows, and rows tie on it only when their leading 53 or more
+    bits agree; those rows alone are re-sorted by the full limbs and id, so
+    wide keys cost a few passes, not one per limb.
+    """
+    hi, lo = np.zeros(len(ids)), np.zeros(len(ids))
+    pending = np.arange(len(ids))  # rows whose leading nonzero limb is not found yet
+    with np.errstate(over="ignore"):  # keys beyond ~1020 bits: inf, still monotone
+        for i, limb in enumerate(limbs):
+            v = limb[pending]
+            rows, lead = pending[v != 0], v[v != 0]
+            hi[rows] = np.ldexp(lead.astype(np.float64), 60 * (len(limbs) - 1 - i))
+            if i + 1 < len(limbs):
+                fits = (lead < 1 << 53) & np.isfinite(hi[rows])
+                lo[rows] = np.where(fits, limbs[i + 1][rows].astype(np.float64), 0.0)
+            pending = pending[v == 0]
+            if len(pending) == 0:
+                break
+    major = [] if group is None else [group]
+    order = np.lexsort([lo, hi, *major])
+    tie = np.ones(max(len(order) - 1, 0), dtype=bool)
+    for key in [hi, lo, *major]:
+        k = key[order]
+        tie &= k[1:] == k[:-1]
+    if tie.any():
+        # Sorting the tied rows by (group, limbs, id) orders each run exactly
+        # and keeps the runs, which the prefix already ordered, in place.
+        in_run = np.r_[tie, False] | np.r_[False, tie]
+        run = order[in_run]
+        exact = [ids[run], *[limb[run] for limb in reversed(limbs)], *[m[run] for m in major]]
+        order[in_run] = run[np.lexsort(exact)]
+    return order
+
+
+def _group_of(df: pd.DataFrame) -> np.ndarray:
+    qid = df["qid"].to_numpy()
+    return df["tree_id"].to_numpy() * (qid.max() + 1) + qid
+
+
+def _head_per_group(df: pd.DataFrame, order: np.ndarray, n: int) -> pd.DataFrame:
+    """The rows of ``df`` in ``order``, which must sort them by (tree_id, qid)
+    first, keeping the first ``n`` of every (tree_id, qid) group."""
+    group = _group_of(df)[order]
+    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
+    rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
+    return df.iloc[order[rank < n]].reset_index(drop=True)
+
+
+def _head_by(df: pd.DataFrame, col: str, n: int) -> pd.DataFrame:
+    """The ``n`` rows smallest by ``col`` per (tree_id, qid), ties kept in
+    their order in ``df``."""
+    return _head_per_group(df, np.lexsort([df[col].to_numpy(), _group_of(df)]), n)
+
+
+def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, score, score_cols):
     """The alpha entries nearest by Hilbert key, per (tree, query).
 
     The candidate stage shared by HD-Index and Multicurves. ``index`` has
-    ``params``, ``trees`` and ``hierarchies``; ``queries`` is a batch that
-    passed :func:`check_batch`. Each query's leaf window per tree is joined
-    against the tree union, and each (tree, query) group keeps its alpha
-    rows nearest by exact big-int ``|key - q|`` (stable, so ties keep join
-    order). ``finish(qid, sel)`` maps those rows — columns ``tree_id, qid,
-    id, hkey`` and ``payload`` — to the group's output rows of ``schema``.
-    Returns the lazy ``applyInPandas`` DataFrame.
+    ``params``, ``hierarchies`` and the tree union ``leaves``; ``queries``
+    is a batch that passed :func:`check_batch`. Each (tree, query) pair gets
+    its leaf window from the fence hierarchy, and the windows are broadcast.
+    One ``mapInPandas`` pass over ``leaves`` keeps, per window and Arrow
+    batch, the batch's alpha rows nearest by (exact ``|key - q|``, id) and
+    scores them next to the data: ``score(qid, P)`` maps their ``payload``
+    rows, a (rows, width) matrix, to a dict with one float array per name in
+    ``score_cols``. The driver merges the batch-local sets.
+
+    Returns a pandas frame ``(tree_id, qid, id, *score_cols)`` holding
+    exactly the alpha rows of each tree nearest to each query by (key
+    distance, id) — every row of a smaller tree — sorted by tree_id, qid and
+    then that order.
     """
-    spark = index.trees[0].sparkSession
     qkeys_per_tree = query_hilbert_keys(index, queries)
-    b_qkeys = spark.sparkContext.broadcast([list(a) for a in qkeys_per_tree])
-    probe_df = spark.createDataFrame(_probe_frame(index, qkeys_per_tree, alpha))
+    windows = np.array(
+        [
+            (t, qid, *hier.window(hier.lookup(qk), alpha))
+            for t, (hier, qkeys) in enumerate(zip(index.hierarchies, qkeys_per_tree))
+            for qid, qk in enumerate(qkeys)
+        ],
+        dtype=np.int64,
+    )  # (tree_id, qid, lo_leaf, hi_leaf)
+    qlimbs = key_limbs(np.concatenate(qkeys_per_tree))
+    kd_cols = [f"kd{i}" for i in range(qlimbs.shape[1])]
+    stride = max(h.n_leaves for h in index.hierarchies)
+    b = index.leaves.sparkSession.sparkContext.broadcast((windows, qlimbs))
+    schema = StructType(
+        [StructField(c, LongType()) for c in ["tree_id", "qid", "id", *kd_cols]]
+        + [StructField(c, DoubleType()) for c in score_cols]
+    )
 
-    tree_union = None
-    for t, tree in enumerate(index.trees):
-        tdf = tree.withColumn("tree_id", F.lit(t))
-        tree_union = tdf if tree_union is None else tree_union.unionByName(tdf)
+    def nearest_by_key(batches):
+        win, qk = b.value
+        first, last = win[:, 0] * stride + win[:, 2], win[:, 0] * stride + win[:, 3]
+        for pdf in batches:
+            # Rows sorted by (tree, leaf); each window is then one slice.
+            pos = pdf["tree_id"].to_numpy() * stride + pdf["leaf_id"].to_numpy()
+            order = np.argsort(pos, kind="stable")
+            lo = np.searchsorted(pos[order], first, "left")
+            hi = np.searchsorted(pos[order], last, "right")
+            hit = np.flatnonzero(hi > lo)
+            if len(hit) == 0:
+                continue
+            keys = key_limbs(pdf["hkey"].to_numpy())
+            ids = pdf["id"].to_numpy()
+            P = np.vstack(pdf[payload].to_numpy())
+            parts = []
+            for w in hit:
+                rows = order[lo[w] : hi[w]]
+                kd = key_dist(keys[rows], qk[w])
+                sel = key_order(list(kd.T), ids[rows])[:alpha]
+                rows, kd = rows[sel], kd[sel]
+                cols = {"tree_id": np.full(len(rows), win[w, 0]),
+                        "qid": np.full(len(rows), win[w, 1]), "id": ids[rows]}
+                cols.update(zip(kd_cols, kd.T))
+                cols.update(score(int(win[w, 1]), P[rows]))
+                parts.append(pd.DataFrame(cols))
+            yield pd.concat(parts, ignore_index=True)
 
-    window_df = tree_union.join(
-        F.broadcast(probe_df), on=["tree_id", "leaf_id"], how="inner"
-    ).select("tree_id", "qid", "id", "hkey", payload)
-
-    def nearest_by_key(key, pdf):
-        tree_id, qid = int(key[0]), int(key[1])
-        qk = int(b_qkeys.value[tree_id][qid], 16)
-        # Key distances are exact big ints (keys can exceed 64 bits by far);
-        # argsort over an object array compares them without precision loss.
-        keydist = np.array(
-            [abs(int(h, 16) - qk) for h in pdf["hkey"]], dtype=object
-        )
-        order = np.argsort(keydist, kind="stable")[:alpha]
-        return finish(qid, pdf.iloc[order])
-
-    return window_df.groupBy("tree_id", "qid").applyInPandas(nearest_by_key, schema=schema)
+    got = index.leaves.mapInPandas(nearest_by_key, schema).toPandas()
+    order = key_order([got[c].to_numpy() for c in kd_cols], got["id"].to_numpy(), _group_of(got))
+    return _head_per_group(got, order, alpha).drop(columns=kd_cols)
 
 
 def knn_query(
@@ -278,36 +392,24 @@ def knn_query(
 
     b_qr = sc.broadcast(euclidean(queries[:, None], index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
+    score_cols = {"tri": ["tri"], "both": ["tri", "pto"], "none": []}[filters]
 
-    cand_schema = StructType(
-        [StructField("qid", LongType()), StructField("id", LongType())]
-    )
-    mode = filters
+    def score(qid, rdist):
+        qr = b_qr.value[qid]
+        out = {}
+        if "tri" in score_cols:
+            out["tri"] = triangular_bounds(qr, rdist)
+        if "pto" in score_cols:
+            out["pto"] = ptolemaic_bounds(qr, rdist, b_rr.value)
+        return out
 
-    def funnel(qid, sel):
-        if mode != "none":
-            o_rdist = np.vstack(sel["rdist"].to_numpy())
-            qr = b_qr.value[qid]
-            tri = triangular_bounds(qr, o_rdist)
-            if mode == "tri":
-                keep = np.argsort(tri, kind="stable")[:gamma]
-                sel = sel.iloc[keep]
-            else:
-                keep_b = np.argsort(tri, kind="stable")[:beta]
-                sel_b = sel.iloc[keep_b]
-                pto = ptolemaic_bounds(
-                    qr, o_rdist[keep_b], b_rr.value
-                )
-                keep_g = np.argsort(pto, kind="stable")[:gamma]
-                sel = sel_b.iloc[keep_g]
-        out = pd.DataFrame({"qid": qid, "id": sel["id"].to_numpy()})
-        return out.astype({"qid": "int64", "id": "int64"})
-
-    pairs = (
-        curve_candidates(index, queries, alpha, "rdist", funnel, cand_schema)
-        .toPandas()
-        .drop_duplicates()
-    )
+    # --- filter funnel per (tree, query), on the alpha rows in key order ----
+    cands = curve_candidates(index, queries, alpha, "rdist", score, score_cols)
+    if filters == "tri":
+        cands = _head_by(cands, "tri", gamma)
+    elif filters == "both":
+        cands = _head_by(_head_by(cands, "tri", beta), "pto", gamma)
+    pairs = cands[["qid", "id"]].drop_duplicates()
 
     # --- exact re-rank over the candidate union C (kappa <= tau*gamma) ----
     result = top_k(exact_dists(index.base, pairs, queries), k)

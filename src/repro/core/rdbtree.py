@@ -9,8 +9,9 @@ keeps that geometry:
   rdist)`` where ``(leaf_id, slot)`` comes from the global sort order by
   ``hkey`` bucketed Omega-at-a-time. It is range-partitioned by ``hkey``, so
   each Spark partition holds a contiguous run of leaves. Queries do not yet
-  exploit that: the leaf-window probe is a join that reads every row of
-  every tree, not the paper's O(log n + alpha/Omega) page reads;
+  exploit that: the leaf windows are broadcast to one pass over the union
+  of the trees, which reads every row of every tree, not the paper's
+  O(log n + alpha/Omega) page reads;
 * the **internal levels** are the per-leaf key fences (min/max key, slot
   count) held on the driver (`FenceHierarchy`). n/Omega fences for n in the
   millions is a few thousand rows — the same observation that lets the
@@ -140,6 +141,7 @@ class FenceHierarchy:
         self.fences = fences.reset_index(drop=True)
         self.branching = branching
         self._min_keys = self.fences["min_key"].to_list()
+        self._max_keys = self.fences["max_key"].to_list()
         self.cum = [0, *itertools.accumulate(self.fences["count"].to_list())]
         height, nodes = 0, self.n_leaves
         while nodes > 1:  # ceil(log_theta(n_leaves)) in exact integer steps
@@ -162,13 +164,19 @@ class FenceHierarchy:
 
     def window(self, leaf_id: int, alpha: int) -> tuple[int, int]:
         """Smallest contiguous leaf range [lo, hi] around ``leaf_id`` with
-        >= alpha slots on each side of the centre leaf (or hitting the ends).
+        >= alpha slots on each side of the centre leaf (or hitting the ends),
+        widened to the left over a run of equal keys that crosses its edge.
 
-        Guarantees that the alpha nearest-by-key entries around any key in
-        the centre leaf are inside the window.
+        Guarantees that the alpha entries nearest by (key distance, id) to
+        any key the centre leaf is looked up for are inside the window.
         """
         # lo: the last leaf starting >= alpha slots before the centre leaf;
         # hi: the first leaf ending >= alpha slots after it.
         lo = bisect.bisect_right(self.cum, self.cum[leaf_id] - alpha) - 1
         hi = bisect.bisect_left(self.cum, self.cum[leaf_id + 1] + alpha) - 1
-        return max(0, min(lo, leaf_id)), min(self.n_leaves - 1, max(hi, leaf_id))
+        lo = max(0, min(lo, leaf_id))
+        # Left of the probe key, equal keys sit in id order away from it, so
+        # the lowest ids of a tie run lie farthest out: take the run whole.
+        while lo > 0 and self._max_keys[lo - 1] == self._min_keys[lo]:
+            lo -= 1
+        return lo, min(self.n_leaves - 1, max(hi, leaf_id))

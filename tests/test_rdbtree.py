@@ -181,6 +181,18 @@ def test_hierarchy_window_whole_tree_when_alpha_huge():
     assert h.window(4, 10**9) == (0, 9)
 
 
+def test_hierarchy_window_takes_tie_runs_whole():
+    """Leaves of one slot holding keys 5, 5, 5, 20 and a probe key of 7: the
+    nearest entry by (key distance, id) is the first 5, which the alpha-slot
+    margin alone would leave out; the window takes the run of 5s whole."""
+    keys = ["05", "05", "05", "20"]
+    f = pd.DataFrame({"leaf_id": range(4), "min_key": keys, "max_key": keys, "count": 1})
+    h = FenceHierarchy(f, branching=2)
+    assert h.lookup("07") == 2
+    assert h.window(2, 1) == (0, 3)
+    assert h.window(3, 1) == (0, 3)  # the edge falls inside the run of 5s
+
+
 def test_hierarchy_validation():
     f = _fences(5)
     with pytest.raises(ValueError):
