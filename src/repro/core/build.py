@@ -8,13 +8,16 @@ Pipeline per the paper, in Spark:
    in ``repro.dist``'s block form: a filter input, so the expansion's
    ~|x|^2 * eps rounding is acceptable, while the query-to-reference and
    reference-to-reference distances it is compared with are exact;
-3. per dimension partition P_i, a pandas UDF quantises the sub-vector and
-   emits the Hilbert key (hex, fixed width) of curve order omega;
-4. per tree, rows ``(id, hkey, rdist)`` are globally sorted by key and
-   bucketed into leaves of exactly Omega slots (``rdbtree.assign_leaves``),
-   range-partitioned in key order; leaf fences are collected and folded
-   into the driver-side ``FenceHierarchy``. The Multicurves baseline builds
-   its trees with the same loop (``build_curve_trees``), storing vectors
+3. in the same pass, one pandas UDF quantises every row's tau sub-vectors
+   (dimension partitions P_i) and emits their Hilbert keys (hex, fixed
+   width, curve order omega) as one array; ``posexplode`` turns it into
+   ``(tree_id, id, hkey, rdist)`` rows, tau per object;
+4. one ``rdbtree.assign_leaves`` sorts all of them by ``(tree_id, hkey,
+   id)`` and buckets every tree into leaves of exactly Omega slots, and one
+   ``rdbtree.leaf_fences`` collects the fences of every tree, folded into
+   one driver-side ``FenceHierarchy`` per tree. Each tree is then split off
+   into its own cache or Parquet directory. The Multicurves baseline builds
+   its trees with the same code (``build_curve_trees``), storing vectors
    instead of ``rdist``;
 5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
    coalesced to the default parallelism — is the one table a query's
@@ -42,7 +45,7 @@ from repro.dist import block_dists, euclidean
 from repro.hilbert.curve import hilbert_keys, quantize
 from repro.refsel.selection import select
 from repro.core.params import HDIndexParams
-from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
+from repro.core.rdbtree import TREE_COL, FenceHierarchy, assign_leaves, leaf_fences
 
 __all__ = [
     "HDIndex", "build_hd_index", "build_curve_trees", "load_hd_index_trees", "subspace_keys",
@@ -92,14 +95,6 @@ def subspace_keys(X: np.ndarray, dims, params: HDIndexParams) -> np.ndarray:
     return hilbert_keys(cells, params.omega)
 
 
-def _hkey_udf(dims, params: HDIndexParams):
-    @F.pandas_udf(StringType())
-    def hkey_udf(vec: pd.Series) -> pd.Series:
-        return pd.Series(subspace_keys(np.vstack(vec.to_numpy()), dims, params))
-
-    return hkey_udf
-
-
 def build_curve_trees(
     spark: SparkSession,
     source: DataFrame,
@@ -114,31 +109,55 @@ def build_curve_trees(
 
     ``source`` holds ``id``, ``vec`` and the ``payload`` column the leaves
     store (``rdist`` for HD-Index, ``vec`` for Multicurves); ``order`` is the
-    leaf order. Each tree is ``(id, hkey, payload, leaf_id, slot)``, cached
-    in memory or, with ``parquet_dir``, written to ``{parquet_dir}/tree_{i}``
-    and re-read from disk. The union ``leaves`` is ``(tree_id, id, hkey,
-    leaf_id, payload)`` coalesced to the default parallelism, so one scan of
-    it is one wave of tasks; it is not persisted itself and reads the cached
-    trees or the Parquet files.
+    leaf order. All tau trees come from one pass: a pandas UDF emits every
+    row's tau keys, ``posexplode`` turns them into ``(tree_id, id, hkey,
+    payload)`` rows, and one ``assign_leaves`` and one ``leaf_fences`` number
+    and fence every tree. Each tree is then split off as ``(id, hkey,
+    payload, leaf_id, slot)``, cached in memory or, with ``parquet_dir``,
+    written to ``{parquet_dir}/tree_{i}`` and re-read from disk. The union
+    ``leaves`` is ``(tree_id, id, hkey, leaf_id, payload)`` coalesced to the
+    default parallelism, so one scan of it is one wave of tasks; it is not
+    persisted itself and reads the cached trees or the Parquet files.
     """
+    partitions = params.partitions
+
+    @F.pandas_udf(ArrayType(StringType()))
+    def hkeys_udf(vec: pd.Series) -> pd.Series:
+        X = np.vstack(vec.to_numpy())
+        keys = np.stack([subspace_keys(X, dims, params) for dims in partitions], axis=1)
+        return pd.Series(list(keys))
+
+    rows = source.select(F.posexplode(hkeys_udf("vec")).alias(TREE_COL, "hkey"), "id", payload)
+    numbered = assign_leaves(rows, "hkey", order)
+    fences = leaf_fences(numbered)
+
     trees, hierarchies = [], []
-    for i, dims in enumerate(params.partitions):
-        tree = source.select("id", _hkey_udf(dims, params)("vec").alias("hkey"), payload)
-        tree = assign_leaves(tree, "hkey", order)
-        if parquet_dir is not None:
+    for i in range(len(partitions)):
+        tree = numbered.filter(F.col(TREE_COL) == i).select("id", "hkey", payload, "leaf_id", "slot")
+        if parquet_dir is None:
+            tree = tree.persist()
+        else:
             path = os.path.join(parquet_dir, f"tree_{i}")
             tree.write.mode("overwrite").parquet(path)
-            tree.unpersist()
-            tree = spark.read.parquet(path)
-        hierarchies.append(FenceHierarchy(leaf_fences(tree), params.branching))
+            # The schema is known, so the read needs no inference job.
+            tree = spark.read.schema(tree.schema).parquet(path)
+        f = fences[fences[TREE_COL] == i].drop(columns=TREE_COL).reset_index(drop=True)
+        hierarchies.append(FenceHierarchy(f, params.branching))
         trees.append(tree)
     leaves = functools.reduce(
         DataFrame.unionByName,
         [
-            tree.select(F.lit(t).cast("long").alias("tree_id"), "id", "hkey", "leaf_id", payload)
+            tree.select(F.lit(t).cast("long").alias(TREE_COL), "id", "hkey", "leaf_id", payload)
             for t, tree in enumerate(trees)
         ],
     ).coalesce(spark.sparkContext.defaultParallelism)
+    if parquet_dir is None:
+        # One job over the union fills every tree's cache.
+        leaves.count()
+    # The trees now read their own caches or files; a cache still empty
+    # here would be recomputed from ``numbered``'s plan, whose range
+    # boundaries are sampled again.
+    numbered.unpersist()
     return trees, hierarchies, leaves
 
 

@@ -21,17 +21,25 @@ keeps that geometry:
 Global sort positions are computed with the standard distributed-rank idiom:
 range partition -> sort within partitions -> per-partition counts -> driver
 cumsum of offsets -> offset + local index, avoiding a single-partition window.
+The build ranks all tau trees in one such pass: rows carry a ``tree_id``,
+the sort key is ``(tree_id, hkey, id)``, and the offsets are kept per
+(partition, tree), so a tree that spans several partitions is numbered
+across them and every tree's numbering starts at 0.
 """
 from __future__ import annotations
 
 import bisect
+import collections
 import itertools
 
+import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
 from pyspark.sql.types import LongType, StructField, StructType
 
-__all__ = ["assign_leaves", "leaf_fences", "FenceHierarchy"]
+__all__ = ["assign_leaves", "leaf_fences", "FenceHierarchy", "TREE_COL"]
+
+TREE_COL = "tree_id"  # present when one DataFrame holds the rows of several trees
 
 
 def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
@@ -39,14 +47,17 @@ def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
 
     Adds ``leaf_id`` (0-based, contiguous in global ``key_col`` order) and
     ``slot`` (position within the leaf). Ties on ``key_col`` are broken by
-    ``id`` so the assignment is deterministic.
+    ``id`` so the assignment is deterministic. When ``df`` has a ``tree_id``
+    column, each tree is bucketed on its own — ``leaf_id`` and ``slot``
+    restart in every tree — from one sort by ``(tree_id, key_col, id)``.
 
     The result comes back persisted and materialised; the caller owns that
     cache (``unpersist`` it once the tree is written elsewhere).
     """
     if leaf_order < 1:
         raise ValueError("leaf_order must be >= 1")
-    sort_cols = [key_col, "id"]
+    by = [TREE_COL] if TREE_COL in df.columns else []
+    sort_cols = [*by, key_col, "id"]
     n_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism // 2)
     part = df.repartitionByRange(n_partitions, *sort_cols).sortWithinPartitions(
         *sort_cols
@@ -58,15 +69,17 @@ def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
     # counts pass materialises the layout the numbering pass then reads.
     part = part.persist()
 
-    counts = {
-        r["_pid"]: r["cnt"]
-        for r in part.groupBy("_pid").agg(F.count("*").alias("cnt")).collect()
-    }
-    offsets: dict[int, int] = {}
-    acc = 0
-    for pid in sorted(counts):
-        offsets[pid] = acc
-        acc += counts[pid]
+    # Offset of each (partition, tree) run: the rows of that tree in the
+    # partitions before it.
+    counts = sorted(
+        (r["_pid"], r[TREE_COL] if by else 0, r["cnt"])
+        for r in part.groupBy("_pid", *by).agg(F.count("*").alias("cnt")).collect()
+    )
+    offsets: dict[tuple[int, int], int] = {}
+    acc: dict[int, int] = collections.defaultdict(int)
+    for pid, tree, cnt in counts:
+        offsets[pid, tree] = acc[tree]
+        acc[tree] += cnt
 
     schema = StructType(
         part.schema.fields
@@ -75,16 +88,21 @@ def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
     b_offsets = df.sparkSession.sparkContext.broadcast(offsets)
 
     def _number(batches):
-        # One partition == one iterator; rows arrive already sorted. Number
-        # them from the partition's global offset.
-        local = 0
+        # One partition == one iterator; rows arrive sorted, so every tree
+        # is one run of rows. Number each run from its global offset.
+        local: dict[int, int] = collections.defaultdict(int)
         for pdf in batches:
             if pdf.empty:
                 continue
             pid = int(pdf["_pid"].iloc[0])
-            start = b_offsets.value[pid] + local
-            pos = pd.Series(range(start, start + len(pdf)), index=pdf.index)
-            local += len(pdf)
+            trees = pdf[TREE_COL].to_numpy() if by else np.zeros(len(pdf), np.int64)
+            cuts = [0, *(np.flatnonzero(np.diff(trees)) + 1), len(pdf)]
+            pos = np.empty(len(pdf), np.int64)
+            for lo, hi in zip(cuts[:-1], cuts[1:]):
+                tree = int(trees[lo])
+                start = b_offsets.value[pid, tree] + local[tree]
+                pos[lo:hi] = np.arange(start, start + hi - lo)
+                local[tree] += hi - lo
             out = pdf.copy()
             out["leaf_id"] = pos // leaf_order
             out["slot"] = pos % leaf_order
@@ -103,19 +121,22 @@ def leaf_fences(tree_df: DataFrame, key_col: str = "hkey") -> pd.DataFrame:
     """Collect per-leaf (min key, max key, slot count) fences to the driver.
 
     This is the content of the level-1 internal nodes of the RDB-tree; it is
-    O(n / Omega) rows and forms the base of :class:`FenceHierarchy`.
+    O(n / Omega) rows and forms the base of :class:`FenceHierarchy`. When
+    ``tree_df`` has a ``tree_id`` column, one pass gives the fences of every
+    tree, ordered by (tree_id, leaf_id) with ``tree_id`` as first column.
     """
+    by = [TREE_COL] if TREE_COL in tree_df.columns else []
     pdf = (
-        tree_df.groupBy("leaf_id")
+        tree_df.groupBy(*by, "leaf_id")
         .agg(
             F.min(key_col).alias("min_key"),
             F.max(key_col).alias("max_key"),
             F.count("*").alias("count"),
         )
-        .orderBy("leaf_id")
         .toPandas()
     )
-    return pdf.reset_index(drop=True)
+    # Sorted on the driver: a Spark orderBy would add a range-sampling job.
+    return pdf.sort_values([*by, "leaf_id"], ignore_index=True)
 
 
 class FenceHierarchy:

@@ -143,3 +143,31 @@ def test_build_persists_only_base_and_cached_trees(spark, tmp_path, on_disk):
     before = persisted().size()
     build_hd_index(spark, df, p, parquet_dir=str(tmp_path / "idx") if on_disk else None)
     assert persisted().size() - before == (1 if on_disk else p.tau + 1)
+
+
+def _build_jobs(spark, df, params, parquet_dir) -> int:
+    """Spark jobs one build runs, counted by job group."""
+    sc = spark.sparkContext
+    group = f"build-jobs-{params.tau}-{parquet_dir is not None}"
+    sc.setJobGroup(group, group)
+    try:
+        build_hd_index(spark, df, params, parquet_dir=parquet_dir)
+    finally:
+        sc.setLocalProperty("spark.jobGroup.id", None)
+        sc.setLocalProperty("spark.job.description", None)
+    return len(sc.statusTracker().getJobIdsForGroup(group))
+
+
+@pytest.mark.parametrize("on_disk", [False, True])
+def test_build_jobs_do_not_grow_per_tree(spark, tmp_path, on_disk):
+    """All trees share one key pass, one sort, one numbering pass, one
+    fence pass and, in memory, one job that fills their caches: doubling
+    tau from 2 to 4 adds a few jobs at most (on Parquet, one write per
+    tree), not a pipeline per tree."""
+    X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=42)
+    df = vectors_df(spark, X)
+    jobs = {}
+    for tau in (2, 4):
+        p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=tau, omega=4, m=3, alpha=32)
+        jobs[tau] = _build_jobs(spark, df, p, str(tmp_path / f"idx{tau}") if on_disk else None)
+    assert jobs[4] - jobs[2] <= 8, jobs

@@ -93,6 +93,54 @@ def test_leaf_fences_shape(keyed_df):
     assert (fences["min_key"] <= fences["max_key"]).all()
 
 
+def test_numbering_by_tree_equals_per_tree_numbering(spark):
+    """With a ``tree_id`` column, one assign_leaves/leaf_fences pass equals
+    running them on each tree alone, row for row and fence for fence."""
+    omega = 37
+    rng = np.random.default_rng(4)
+    # Tree 1 is smaller than one leaf; tree 2 holds most rows, so it crosses
+    # a range-partition boundary. Keys come from a few values: many ties.
+    sizes = {0: 300, 1: 5, 2: 700}
+    pdf = pd.concat(
+        pd.DataFrame(
+            {
+                "tree_id": np.full(size, t, dtype=np.int64),
+                "id": np.arange(size, dtype=np.int64),
+                "hkey": [f"{v:04x}" for v in rng.integers(0, 60, size)],
+                "payload": rng.random(size),
+            }
+        )
+        for t, size in sizes.items()
+    )
+    both = assign_leaves(spark.createDataFrame(pdf), "hkey", omega)
+    spread = dict(
+        both.select("tree_id", F.spark_partition_id().alias("part"))
+        .distinct()
+        .groupBy("tree_id")
+        .count()
+        .collect()
+    )
+    assert spread[2] > 1
+    fences = leaf_fences(both)
+    rows = both.toPandas()
+    for t in sizes:
+        tree = spark.createDataFrame(pdf[pdf["tree_id"] == t].drop(columns="tree_id"))
+        alone = assign_leaves(tree, "hkey", omega)
+        want = alone.toPandas().sort_values("id", ignore_index=True)
+        got = (
+            rows[rows["tree_id"] == t]
+            .drop(columns="tree_id")
+            .sort_values("id", ignore_index=True)
+        )
+        pd.testing.assert_frame_equal(got, want, check_exact=True)
+        got_fences = fences[fences["tree_id"] == t].drop(columns="tree_id")
+        pd.testing.assert_frame_equal(
+            got_fences.reset_index(drop=True), leaf_fences(alone), check_exact=True
+        )
+        alone.unpersist()
+    both.unpersist()
+
+
 # --- FenceHierarchy (pure driver-side) --------------------------------------
 
 def _fences(n_leaves, omega=10, seed=0):
