@@ -22,6 +22,8 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, LongType, StructField, StructType
 
 from repro.baselines.lsh_common import collision_search
+from repro.core.build import VectorStore, vector_store
+from repro.core.query import check_batch, empty_result
 
 __all__ = ["C2LSHIndex", "build_c2lsh", "knn_c2lsh"]
 
@@ -32,7 +34,7 @@ class C2LSHIndex:
     b: np.ndarray  # (m,) offsets in [0, w)
     w: float  # bucket width (projection units)
     hashed: DataFrame  # (id, h: array<long>)
-    base: DataFrame  # (id, vec)
+    store: VectorStore  # the vectors by id, for the exact checks
     n: int
     c: float
     alpha_frac: float
@@ -71,8 +73,7 @@ def build_c2lsh(
 
     hashed = data.select("id", hash_udf("vec").alias("h")).persist()
     n = hashed.count()
-    base = data.select("id", "vec")
-    return C2LSHIndex(A, b, w, hashed, base, n, c, alpha_frac)
+    return C2LSHIndex(A, b, w, hashed, vector_store(data), n, c, alpha_frac)
 
 
 def knn_c2lsh(
@@ -84,9 +85,10 @@ def knn_c2lsh(
     max_levels: int = 24,
 ) -> pd.DataFrame:
     """kANN by virtual rehashing + collision counting. (qid, rank, id, dist)."""
-    queries = np.asarray(queries, dtype=np.float64)
-    spark = index.hashed.sparkSession
-    sc = spark.sparkContext
+    queries = check_batch(queries, index.store.vecs.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
+    sc = index.hashed.sparkSession.sparkContext
     m = index.A.shape[0]
     l = int(np.ceil(index.alpha_frac * m))
     cap = (beta_n if beta_n is not None else max(100, k)) + k
@@ -120,7 +122,7 @@ def knn_c2lsh(
         return index.hashed.mapInPandas(kernel, pair_schema).toPandas()
 
     return collision_search(
-        index.base,
+        index.store,
         queries,
         k,
         count_fn=count_fn,

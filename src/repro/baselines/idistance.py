@@ -12,8 +12,8 @@ checks the ring members, and stops once the current k-th exact distance is
 Each round is one Spark job: a broadcast range join of the keyed table
 against the ring predicates — the analogue of the B+-tree range scans —
 whose rows already carry their vectors, so a pandas kernel scores them in
-the same pass (``query.exact_dists`` would need a second pass over the
-base). The finished queries' answers are ranked by ``query.top_k``.
+the same pass, and the index needs no vector store for ``query.exact_dists``.
+The finished queries' answers are ranked by ``query.top_k``.
 Distances follow ``repro.dist``'s rule: the ring kernel and the
 query-to-centre distances are exact (``euclidean``); only the build's
 nearest-centre assignment, whose ``cdist`` keys the rings, uses the block

@@ -5,25 +5,26 @@ c^2, ...). At each level an object is *frequent* for a query when it
 collides with the query in at least ``l`` of the m hash functions; only the
 collision predicate differs, and each method supplies it as a Spark job
 (``count_fn``). Newly frequent (qid, id) pairs are scored by
-``query.exact_dists`` (one broadcast pass over the base table); the driver
-keeps a seen-set per query, so no pair is checked twice. A query stops when
-(T1) k candidates lie within distance c * R_dist, or (T2) the number of
-checked candidates reaches the false-positive budget beta*n + k. The kept
-candidates of all queries are ranked by ``query.top_k``.
+``query.exact_dists`` on the driver, which reads only their vectors, by id,
+from the index's vector store; the driver keeps a seen-set per query, so no
+pair is checked twice. A query stops when (T1) k candidates lie within
+distance c * R_dist, or (T2) the number of checked candidates reaches the
+false-positive budget beta*n + k. The kept candidates of all queries are
+ranked by ``query.top_k``.
 """
 from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame
 
+from repro.core.build import VectorStore
 from repro.core.query import empty_result, exact_dists, top_k
 
 __all__ = ["collision_search"]
 
 
 def collision_search(
-    base: DataFrame,
+    store: VectorStore,
     queries: np.ndarray,
     k: int,
     *,
@@ -54,7 +55,7 @@ def collision_search(
             freq = freq[
                 [i not in seen[q] for q, i in zip(freq["qid"], freq["id"])]
             ]
-        dists = exact_dists(base, freq, queries)
+        dists = exact_dists(store, freq, queries)
         for q in active:
             mine = dists[dists["qid"] == q]
             if len(mine):

@@ -67,7 +67,7 @@ def knn_multicurves(
     index: MulticurvesIndex, queries: np.ndarray, k: int, *, alpha: int = 4096
 ) -> pd.DataFrame:
     """alpha nearest-by-key per curve, exact re-rank of the union."""
-    queries = check_batch(index.params, queries, k, alpha)
+    queries = check_batch(queries, index.params.nu, k, alpha)
     if len(queries) == 0:
         return empty_result()
     b_q = index.leaves.sparkSession.sparkContext.broadcast(queries)

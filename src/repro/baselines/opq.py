@@ -24,8 +24,8 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
-from repro.core.build import sample_vectors
-from repro.core.query import exact_dists, top_k
+from repro.core.build import VectorStore, sample_vectors, vector_store
+from repro.core.query import check_batch, empty_result, exact_dists, top_k
 from repro.dist import sq_dists
 
 __all__ = ["OPQIndex", "build_opq", "knn_opq"]
@@ -39,7 +39,7 @@ class OPQIndex:
     codebooks: list  # M arrays of (ksub, d_m)
     splits: list  # M index arrays into rotated dims
     codes: DataFrame  # (id, code: array<long>)
-    base: DataFrame
+    store: VectorStore  # the vectors by id, for the true distances
     n: int
 
 
@@ -94,14 +94,16 @@ def build_opq(
 
     codes = data.select("id", code_udf("vec").alias("code")).persist()
     codes.count()
-    return OPQIndex(R, codebooks, splits, codes, data.select("id", "vec"), n)
+    return OPQIndex(R, codebooks, splits, codes, vector_store(data), n)
 
 
 def knn_opq(index: OPQIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
     """Exhaustive ADC scan: approximate distances from the per-query lookup
     tables, top-k by approximate distance, true distances reported for the
     selected ids (the evaluation convention for all methods here)."""
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = check_batch(queries, index.store.vecs.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
     sc = index.codes.sparkSession.sparkContext
 
     # per-query LUT: (Q, M, ksub) squared distances to every centroid
@@ -150,4 +152,4 @@ def knn_opq(index: OPQIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
     partials = index.codes.mapInPandas(scan, schema).toPandas()
     # rank by ADC distance, then report each chosen id's true distance
     chosen = top_k(partials.rename(columns={"adist": "dist"}), k).drop(columns="dist")
-    return chosen.merge(exact_dists(index.base, chosen, queries), on=["qid", "id"])
+    return chosen.merge(exact_dists(index.store, chosen, queries), on=["qid", "id"])

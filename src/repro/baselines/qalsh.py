@@ -19,6 +19,8 @@ from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
 from repro.baselines.lsh_common import collision_search
+from repro.core.build import VectorStore, vector_store
+from repro.core.query import check_batch, empty_result
 
 __all__ = ["QALSHIndex", "build_qalsh", "knn_qalsh"]
 
@@ -28,7 +30,7 @@ class QALSHIndex:
     A: np.ndarray  # (m, nu)
     w: float
     projected: DataFrame  # (id, p: array<double>)
-    base: DataFrame
+    store: VectorStore  # the vectors by id, for the exact checks
     n: int
     c: float
     alpha_frac: float
@@ -62,7 +64,7 @@ def build_qalsh(
 
     projected = data.select("id", proj_udf("vec").alias("p")).persist()
     n = projected.count()
-    return QALSHIndex(A, w, projected, data.select("id", "vec"), n, c, alpha_frac)
+    return QALSHIndex(A, w, projected, vector_store(data), n, c, alpha_frac)
 
 
 def knn_qalsh(
@@ -73,9 +75,10 @@ def knn_qalsh(
     beta_n: int | None = None,
     max_levels: int = 24,
 ) -> pd.DataFrame:
-    queries = np.asarray(queries, dtype=np.float64)
-    spark = index.projected.sparkSession
-    sc = spark.sparkContext
+    queries = check_batch(queries, index.store.vecs.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
+    sc = index.projected.sparkSession.sparkContext
     m = index.A.shape[0]
     l = int(np.ceil(index.alpha_frac * m))
     cap = (beta_n if beta_n is not None else max(100, k)) + k
@@ -109,7 +112,7 @@ def knn_qalsh(
         return index.projected.mapInPandas(kernel, pair_schema).toPandas()
 
     return collision_search(
-        index.base,
+        index.store,
         queries,
         k,
         count_fn=count_fn,

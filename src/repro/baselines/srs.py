@@ -29,7 +29,8 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
 from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
 
-from repro.core.query import exact_dists, top_k
+from repro.core.build import VectorStore, vector_store
+from repro.core.query import check_batch, empty_result, exact_dists, top_k
 from repro.dist import block_dists
 
 __all__ = ["SRSIndex", "build_srs", "knn_srs"]
@@ -43,7 +44,7 @@ _CHI2_Q_TAU_M6 = 2.9046
 class SRSIndex:
     A: np.ndarray  # (m', nu)
     projected: DataFrame  # (id, p: array<double>)
-    base: DataFrame
+    store: VectorStore  # the vectors by id, for the exact checks
     n: int
     m_proj: int
 
@@ -63,7 +64,7 @@ def build_srs(
 
     projected = data.select("id", proj_udf("vec").alias("p")).persist()
     n = projected.count()
-    return SRSIndex(A, projected, data.select("id", "vec"), n, m_proj)
+    return SRSIndex(A, projected, vector_store(data), n, m_proj)
 
 
 def knn_srs(
@@ -81,7 +82,9 @@ def knn_srs(
     ``min_examined`` points keeps tiny datasets meaningful (the authors set
     t for million-point datasets; t*n < k otherwise).
     """
-    queries = np.asarray(queries, dtype=np.float64)
+    queries = check_batch(queries, index.store.vecs.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
     sc = index.projected.sparkSession.sparkContext
     budget = max(min_examined, int(np.ceil(t * index.n)), k)
 
@@ -125,7 +128,7 @@ def knn_srs(
     )
     # merge keeps prefix's (qid, pdist, id) order: each query's scan order
     scanned = prefix.merge(
-        exact_dists(index.base, prefix, queries), on=["qid", "id"]
+        exact_dists(index.store, prefix, queries), on=["qid", "id"]
     )
 
     examined = []

@@ -27,8 +27,10 @@ Pipeline per the paper, in Spark:
 The returned :class:`HDIndex` holds the tree DataFrames (cached, and
 optionally persisted to Parquet — the disk-resident form), their union, the
 fence hierarchies, the reference vectors and their pairwise distances
-(needed by the Ptolemaic filter's denominators), and the base ``(id, vec)``
-DataFrame used by the final exact re-ranking step of the query.
+(needed by the Ptolemaic filter's denominators), and the
+:class:`VectorStore` the query's exact re-rank reads by id: the vectors,
+collected once at build time into driver memory or, with ``parquet_dir``,
+into ``{parquet_dir}/vectors.npy`` read back through ``np.memmap``.
 """
 from __future__ import annotations
 
@@ -48,16 +50,41 @@ from repro.core.params import HDIndexParams
 from repro.core.rdbtree import TREE_COL, FenceHierarchy, assign_leaves, leaf_fences
 
 __all__ = [
-    "HDIndex", "build_hd_index", "build_curve_trees", "load_hd_index_trees", "subspace_keys",
-    "sample_vectors",
+    "HDIndex", "VectorStore", "build_hd_index", "build_curve_trees", "load_hd_index_trees",
+    "subspace_keys", "sample_vectors", "vector_store",
 ]
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
 
 
+@dataclass(frozen=True)
+class VectorStore:
+    """The base vectors addressed by id, for exact re-ranking on the driver."""
+
+    ids: np.ndarray  # (n,) int64, ascending and unique
+    vecs: np.ndarray  # (n, nu) float64, row i is the vector of ids[i]
+
+
+def vector_store(data: DataFrame, parquet_dir: str | None = None) -> VectorStore:
+    """The ``(id, vec)`` rows of ``data``, collected in one job, sorted by id.
+
+    With ``parquet_dir`` the vectors are written to
+    ``{parquet_dir}/vectors.npy`` and read back memory-mapped, so a lookup
+    reads its rows through the page cache instead of holding them in memory.
+    """
+    pdf = data.select("id", "vec").toPandas().sort_values("id")
+    vecs = np.vstack(pdf["vec"].to_numpy()).astype(np.float64, copy=False)
+    if parquet_dir is not None:
+        path = os.path.join(parquet_dir, "vectors.npy")
+        os.makedirs(parquet_dir, exist_ok=True)
+        np.save(path, vecs)
+        vecs = np.load(path, mmap_mode="r")
+    return VectorStore(pdf["id"].to_numpy(dtype=np.int64), vecs)
+
+
 @dataclass
 class HDIndex:
-    """A built HD-Index: tau trees + reference metadata + base table."""
+    """A built HD-Index: tau trees + reference metadata + vector store."""
 
     params: HDIndexParams
     ref_vectors: np.ndarray  # (m, nu)
@@ -65,7 +92,7 @@ class HDIndex:
     trees: list  # list[DataFrame] with (id, hkey, rdist, leaf_id, slot)
     hierarchies: list  # list[FenceHierarchy]
     leaves: DataFrame  # (tree_id, id, hkey, leaf_id, rdist): the trees' union
-    base: DataFrame  # (id, vec)
+    store: VectorStore  # the vectors by id, for the exact re-rank
     n: int
 
 
@@ -172,15 +199,17 @@ def build_hd_index(
     ``vec: array<double>`` of length ``params.nu``.
 
     ``parquet_dir``: when given, each tree is written to
-    ``{parquet_dir}/tree_{i}`` and re-read from disk, exercising the
-    disk-resident path the paper targets; otherwise trees stay as cached
-    in-memory DataFrames.
+    ``{parquet_dir}/tree_{i}`` and re-read from disk, and the vectors to
+    ``{parquet_dir}/vectors.npy``, read back memory-mapped: the
+    disk-resident path the paper targets. Otherwise the trees stay as
+    cached in-memory DataFrames and the vectors as a driver-side array.
     """
     sc = spark.sparkContext
     data = data.select("id", "vec")
+    store = vector_store(data, parquet_dir)
 
     # --- reference objects (Sec. 3.3) -----------------------------------
-    n = data.count()
+    n = len(store.ids)
     sample = sample_vectors(data, n, _REF_SAMPLE_CAP, params.seed)
     ref_idx = select(sample, params.m, params.ref_method, f=params.ref_f, seed=params.seed)
     refs = sample[ref_idx].astype(np.float64)
@@ -192,9 +221,6 @@ def build_hd_index(
         return pd.Series(list(block_dists(np.vstack(vec.to_numpy()), b_refs.value)))
 
     with_rdist = data.withColumn("rdist", rdist_udf("vec"))
-
-    base = data.persist()
-    base.count()
 
     trees, hierarchies, leaves = build_curve_trees(
         spark, with_rdist, params, "rdist", params.leaf_order,
@@ -208,7 +234,7 @@ def build_hd_index(
         trees=trees,
         hierarchies=hierarchies,
         leaves=leaves,
-        base=base,
+        store=store,
         n=n,
     )
 

@@ -23,13 +23,12 @@ For a batch of queries the three phases of the paper map onto:
    then gamma by the Ptolemaic bound (``both``), ties in key order.
 3. **exact re-rank** (``exact_dists``) — the per-tree gamma-sets (at most
    tau*gamma narrow ``(qid, id)`` rows per query) are deduplicated on the
-   driver, giving kappa candidates per query. The pairs
-   and the query matrix are broadcast, one ``mapInPandas`` pass over the
-   cached base ``(id, vec)`` table scores the pairs whose id each batch
-   holds, and the driver keeps each query's top k by (dist, id). No join,
-   no shuffle: only the scored ``(qid, id, dist)`` rows come back. The pass
-   still moves all n base rows through Arrow, as the old shuffle join read
-   and shuffled them.
+   driver, giving kappa candidates per query. Each candidate's vector is
+   read by id from the index's :class:`~repro.core.build.VectorStore` (an
+   array in memory, or ``vectors.npy`` through ``np.memmap`` on the
+   Parquet build) and scored on the driver, and each query keeps its top k
+   by (dist, id). That is the paper's kappa random reads, and no Spark job:
+   a query runs one job, the candidate pass.
 
 Returns a pandas DataFrame ``(qid, rank, id, dist)`` with rank 1-based.
 """
@@ -37,14 +36,9 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
-from pyspark.sql.types import (
-    DoubleType,
-    LongType,
-    StructField,
-    StructType,
-)
+from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.core.build import HDIndex, subspace_keys
+from repro.core.build import HDIndex, VectorStore, subspace_keys
 from repro.dist import euclidean
 
 __all__ = [
@@ -92,28 +86,27 @@ def ptolemaic_bounds(
     return best
 
 
-def check_batch(params, queries, k: int, alpha: int) -> np.ndarray:
-    """The query batch as a float (Q, nu) array; ValueError on bad input."""
+def check_batch(queries, nu: int, k: int, alpha: int | None = None) -> np.ndarray:
+    """The query batch as a float (Q, nu) array; ValueError on bad input.
+    ``alpha`` is the candidate count of the curve indexes; other methods
+    have none."""
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    if alpha < 1:
+    if alpha is not None and alpha < 1:
         raise ValueError(f"alpha must be >= 1, got {alpha}")
     queries = np.asarray(queries, dtype=np.float64)
-    if queries.ndim != 2 or queries.shape[1] != params.nu:
-        raise ValueError(f"queries must be (Q, {params.nu}), got {queries.shape}")
+    if queries.ndim != 2 or queries.shape[1] != nu:
+        raise ValueError(f"queries must be (Q, {nu}), got {queries.shape}")
     if not np.isfinite(queries).all():
         raise ValueError("queries must be finite")
     return queries
 
 
-def _typed_empty(dtypes: dict) -> pd.DataFrame:
-    return pd.DataFrame({c: pd.Series(dtype=t) for c, t in dtypes.items()})
-
-
 def empty_result() -> pd.DataFrame:
     """The ``(qid, rank, id, dist)`` answer to an empty query batch."""
-    return _typed_empty(
-        {"qid": "int64", "rank": "int64", "id": "int64", "dist": "float64"}
+    return pd.DataFrame(
+        {c: pd.Series(dtype="float64" if c == "dist" else "int64")
+         for c in ["qid", "rank", "id", "dist"]}
     )
 
 
@@ -127,55 +120,22 @@ def top_k(dists: pd.DataFrame, k: int) -> pd.DataFrame:
     return top.reset_index(drop=True)
 
 
-_DIST_SCHEMA = StructType(
-    [
-        StructField("qid", LongType()),
-        StructField("id", LongType()),
-        StructField("dist", DoubleType()),
-    ]
-)
-
-
-def exact_dists(base, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
+def exact_dists(store: VectorStore, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:
     """Exact Euclidean distance of each ``(qid, id)`` pair: ``(qid, id, dist)``.
 
     The one exact-distance kernel of HD-Index's re-rank and the C2LSH, QALSH,
-    SRS and OPQ checks. ``base`` is the ``(id, vec)`` table with unique ids. The
-    pairs and ``queries`` are broadcast, and one ``mapInPandas`` pass over
-    ``base`` scores the pairs whose id each batch holds: no join, no
-    shuffle. One row per input pair whose id is in ``base``, in no
-    particular order.
+    SRS and OPQ checks. Each pair's row is found in ``store`` by bisecting
+    its sorted ids and scored on the driver, reading only those rows. One
+    row per input pair whose id is in ``store``, in input order.
     """
-    if len(pairs) == 0:
-        return _typed_empty({"qid": "int64", "id": "int64", "dist": "float64"})
-    sc = base.sparkSession.sparkContext
-    b = sc.broadcast(
-        (
-            pairs["qid"].to_numpy(dtype=np.int64),
-            pairs["id"].to_numpy(dtype=np.int64),
-            queries,
-        )
+    qid = pairs["qid"].to_numpy(dtype=np.int64)
+    pid = pairs["id"].to_numpy(dtype=np.int64)
+    rows = np.minimum(np.searchsorted(store.ids, pid), len(store.ids) - 1)
+    hit = store.ids[rows] == pid
+    rows, qid = rows[hit], qid[hit]
+    return pd.DataFrame(
+        {"qid": qid, "id": pid[hit], "dist": euclidean(store.vecs[rows], queries[qid])}
     )
-
-    def kernel(batches):
-        pq, pid, Q = b.value
-        for pdf in batches:
-            ids = pdf["id"].to_numpy()
-            if len(ids) == 0:
-                continue
-            # Each pair's row in this batch, found by bisecting the sorted ids.
-            order = np.argsort(ids)
-            pos = np.minimum(np.searchsorted(ids[order], pid), len(ids) - 1)
-            rows = order[pos]
-            hit = ids[rows] == pid
-            if not hit.any():
-                continue
-            rows, qs = rows[hit], pq[hit]
-            X = np.vstack(pdf["vec"].to_numpy()[rows])
-            d = euclidean(X, Q[qs])
-            yield pd.DataFrame({"qid": qs, "id": ids[rows], "dist": d})
-
-    return base.select("id", "vec").mapInPandas(kernel, _DIST_SCHEMA).toPandas()
 
 
 _LIMB_HEX = 15  # hex digits per int64 limb: 60 bits, so limb differences and borrows fit
@@ -371,7 +331,7 @@ def knn_query(
     gamma = gamma if gamma is not None else p.effective_gamma
     if filters not in ("tri", "both", "none"):
         raise ValueError(f"unknown filter mode {filters!r}")
-    queries = check_batch(p, queries, k, alpha)
+    queries = check_batch(queries, p.nu, k, alpha)
     if gamma < 1:
         raise ValueError(f"gamma must be >= 1, got {gamma}")
     if filters == "tri" and gamma > alpha:
@@ -388,7 +348,7 @@ def knn_query(
                 "alpha": alpha, "gamma": gamma,
             }
         return result
-    sc = index.base.sparkSession.sparkContext
+    sc = index.leaves.sparkSession.sparkContext
 
     b_qr = sc.broadcast(euclidean(queries[:, None], index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
@@ -412,7 +372,7 @@ def knn_query(
     pairs = cands[["qid", "id"]].drop_duplicates()
 
     # --- exact re-rank over the candidate union C (kappa <= tau*gamma) ----
-    result = top_k(exact_dists(index.base, pairs, queries), k)
+    result = top_k(exact_dists(index.store, pairs, queries), k)
 
     if return_stats:
         rows = np.bincount(result["qid"], minlength=len(queries))

@@ -1,5 +1,7 @@
 """Shared fixtures for the test suite: tiny clustered datasets and a built
 HD-Index, session-scoped so the Spark-side build cost is paid once."""
+import itertools
+
 import numpy as np
 import pytest
 
@@ -48,6 +50,26 @@ def tiny_index(spark, tiny_df, tiny_params):
 @pytest.fixture(scope="session")
 def tiny_mc(spark, tiny_df, tiny_params):
     return build_multicurves(spark, tiny_df, tiny_params)
+
+
+@pytest.fixture(scope="session")
+def spark_jobs(spark):
+    """``spark_jobs(fn)``: the number of Spark jobs ``fn()`` runs, counted
+    by job group."""
+    sc = spark.sparkContext
+    groups = itertools.count()
+
+    def count(fn) -> int:
+        group = f"spark-jobs-{next(groups)}"
+        sc.setJobGroup(group, group)
+        try:
+            fn()
+        finally:
+            sc.setLocalProperty("spark.jobGroup.id", None)
+            sc.setLocalProperty("spark.job.description", None)
+        return len(sc.statusTracker().getJobIdsForGroup(group))
+
+    return count
 
 
 @pytest.fixture(scope="session")

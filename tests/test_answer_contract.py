@@ -1,9 +1,14 @@
 """Every kNN method answers in one shape: ``(qid, rank, id, dist)``.
 
 All methods rank through ``repro.core.query.top_k``; this pins the contract
-that gives them, so Table 5 can compare them row for row.
+that gives them, so Table 5 can compare them row for row. The methods that
+check their query batch share one input contract too: a ValueError on a bad
+batch or k, and a typed empty answer to an empty batch.
 """
+from functools import partial
+
 import numpy as np
+import pandas as pd
 import pytest
 
 from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
@@ -14,26 +19,33 @@ from repro.baselines.multicurves import knn_multicurves
 from repro.baselines.opq import build_opq, knn_opq
 from repro.baselines.qalsh import build_qalsh, knn_qalsh
 from repro.baselines.srs import build_srs, knn_srs
-from repro.core.query import knn_query
+from repro.core.query import empty_result, knn_query
 
 K = 10
 
 
 @pytest.fixture(scope="module")
-def answers(spark, tiny_df, tiny_xq, tiny_index, tiny_mc):
-    """method name -> its answer to the tiny queries at k=K."""
-    X, Q = tiny_xq
+def methods(spark, tiny_df, tiny_xq, tiny_index, tiny_mc):
+    """method name -> its query function ``(queries, k) -> answer``."""
+    X, _ = tiny_xq
     return {
-        "hdindex": knn_query(tiny_index, Q, K),
-        "multicurves": knn_multicurves(tiny_mc, Q, K, alpha=64),
-        "linear": knn_linear_scan(tiny_df, Q, K),
-        "c2lsh": knn_c2lsh(build_c2lsh(spark, tiny_df, m=16, seed=0), Q, K),
-        "qalsh": knn_qalsh(build_qalsh(spark, tiny_df, m=16, seed=0), Q, K),
-        "srs": knn_srs(build_srs(spark, tiny_df), Q, K),
-        "opq": knn_opq(build_opq(spark, tiny_df, M=2, ksub=64, opq_iters=3), Q, K),
-        "hnsw": knn_hnsw(HNSW(X), Q, K),
-        "idistance": knn_idistance(build_idistance(spark, tiny_df, n_centers=8), Q, K),
+        "hdindex": partial(knn_query, tiny_index),
+        "multicurves": partial(knn_multicurves, tiny_mc, alpha=64),
+        "linear": partial(knn_linear_scan, tiny_df),
+        "c2lsh": partial(knn_c2lsh, build_c2lsh(spark, tiny_df, m=16, seed=0)),
+        "qalsh": partial(knn_qalsh, build_qalsh(spark, tiny_df, m=16, seed=0)),
+        "srs": partial(knn_srs, build_srs(spark, tiny_df)),
+        "opq": partial(knn_opq, build_opq(spark, tiny_df, M=2, ksub=64, opq_iters=3)),
+        "hnsw": partial(knn_hnsw, HNSW(X)),
+        "idistance": partial(knn_idistance, build_idistance(spark, tiny_df, n_centers=8)),
     }
+
+
+@pytest.fixture(scope="module")
+def answers(methods, tiny_xq):
+    """method name -> its answer to the tiny queries at k=K."""
+    _, Q = tiny_xq
+    return {name: ask(Q, K) for name, ask in methods.items()}
 
 
 @pytest.mark.parametrize(
@@ -52,3 +64,31 @@ def test_answer_contract(answers, tiny_xq, method):
         assert 1 <= len(g) <= K
         assert g["rank"].tolist() == list(range(1, len(g) + 1))
         assert g["id"].is_unique
+
+
+# HD-Index and Multicurves, which also check alpha, have their own input
+# tests (test_query_validation, test_multicurves_rejects_bad_input); linear
+# scan, HNSW and iDistance do not check their batch yet.
+CHECKED = ["c2lsh", "qalsh", "srs", "opq"]
+
+
+@pytest.mark.parametrize(
+    "queries,k",
+    [
+        (np.zeros((2, 3)), 5),  # wrong dimensionality
+        (np.zeros(16), 5),  # one query, not a batch
+        (np.zeros((2, 16)), 0),
+        (np.array([[np.nan] + [0.0] * 15]), 5),
+        (np.full((1, 16), -np.inf), 5),
+    ],
+    ids=["dims", "1d", "k0", "nan", "inf"],
+)
+@pytest.mark.parametrize("method", CHECKED)
+def test_rejects_bad_input(methods, method, queries, k):
+    with pytest.raises(ValueError):
+        methods[method](queries, k)
+
+
+@pytest.mark.parametrize("method", CHECKED)
+def test_empty_batch_answers_typed_empty(methods, method):
+    pd.testing.assert_frame_equal(methods[method](np.zeros((0, 16)), K), empty_result())

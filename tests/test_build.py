@@ -1,10 +1,14 @@
 """Tests for HD-Index construction (repro.core.build) — Algo 1 invariants."""
+import os
+
 import numpy as np
+import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.build import build_hd_index, load_hd_index_trees
 from repro.core.params import HDIndexParams
+from repro.core.query import knn_query
 from repro.hilbert.curve import hilbert_keys, key_hex_width, quantize
 from repro.synth_data import make_vectors, vectors_df
 
@@ -92,7 +96,9 @@ def test_hierarchy_consistent_with_fences(tiny_index):
 
 
 def test_parquet_roundtrip(spark, tmp_path):
-    """Disk-persisted trees equal the in-memory build row-for-row."""
+    """Disk-persisted trees equal the in-memory build row-for-row. The disk
+    build maps its vectors from ``vectors.npy`` rather than loading them,
+    and both builds hold them in id order and answer identically."""
     X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=3)
     df = vectors_df(spark, X)
     p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=2, omega=4, m=3, alpha=32)
@@ -105,6 +111,19 @@ def test_parquet_roundtrip(spark, tmp_path):
         assert (a["leaf_id"].values == b["leaf_id"].values).all()
     reloaded = load_hd_index_trees(spark, str(tmp_path / "idx"), p.tau)
     assert reloaded[0].count() == 300
+    assert isinstance(disk.store.vecs, np.memmap)
+    assert os.path.samefile(disk.store.vecs.filename, tmp_path / "idx" / "vectors.npy")
+    assert not isinstance(mem.store.vecs, np.memmap)
+    for store in (mem.store, disk.store):
+        assert np.array_equal(store.ids, np.arange(300))
+        assert np.array_equal(store.vecs, X)
+    Q = X[:5] + 0.01
+    for filters in ("tri", "none"):
+        pd.testing.assert_frame_equal(
+            knn_query(disk, Q, k=10, filters=filters),
+            knn_query(mem, Q, k=10, filters=filters),
+            check_exact=True,
+        )
 
 
 def test_build_deterministic_in_seed(spark):
@@ -133,33 +152,22 @@ def test_build_with_random_partitioning(spark):
 
 @pytest.mark.parametrize("on_disk", [False, True])
 def test_build_persists_only_base_and_cached_trees(spark, tmp_path, on_disk):
-    """A build leaves the base table plus, in memory, one cached DataFrame
-    per tree persisted; no intermediate of the leaf bucketing stays behind."""
-    # Fresh data per case: a build over data cached earlier adds no base RDD.
+    """A build leaves, in memory, one cached DataFrame per tree persisted
+    and, on Parquet, nothing: the vectors live in the driver-side store, not
+    in a cached base table, and no intermediate of the leaf bucketing stays
+    behind."""
+    # Fresh data per case, so no cache of an earlier build can hide an RDD.
     X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=40 + on_disk)
     df = vectors_df(spark, X)
     p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=3, omega=4, m=3, alpha=32)
     persisted = spark.sparkContext._jsc.getPersistentRDDs
     before = persisted().size()
     build_hd_index(spark, df, p, parquet_dir=str(tmp_path / "idx") if on_disk else None)
-    assert persisted().size() - before == (1 if on_disk else p.tau + 1)
-
-
-def _build_jobs(spark, df, params, parquet_dir) -> int:
-    """Spark jobs one build runs, counted by job group."""
-    sc = spark.sparkContext
-    group = f"build-jobs-{params.tau}-{parquet_dir is not None}"
-    sc.setJobGroup(group, group)
-    try:
-        build_hd_index(spark, df, params, parquet_dir=parquet_dir)
-    finally:
-        sc.setLocalProperty("spark.jobGroup.id", None)
-        sc.setLocalProperty("spark.job.description", None)
-    return len(sc.statusTracker().getJobIdsForGroup(group))
+    assert persisted().size() - before == (0 if on_disk else p.tau)
 
 
 @pytest.mark.parametrize("on_disk", [False, True])
-def test_build_jobs_do_not_grow_per_tree(spark, tmp_path, on_disk):
+def test_build_jobs_do_not_grow_per_tree(spark, spark_jobs, tmp_path, on_disk):
     """All trees share one key pass, one sort, one numbering pass, one
     fence pass and, in memory, one job that fills their caches: doubling
     tau from 2 to 4 adds a few jobs at most (on Parquet, one write per
@@ -169,5 +177,6 @@ def test_build_jobs_do_not_grow_per_tree(spark, tmp_path, on_disk):
     jobs = {}
     for tau in (2, 4):
         p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=tau, omega=4, m=3, alpha=32)
-        jobs[tau] = _build_jobs(spark, df, p, str(tmp_path / f"idx{tau}") if on_disk else None)
+        d = str(tmp_path / f"idx{tau}") if on_disk else None
+        jobs[tau] = spark_jobs(lambda: build_hd_index(spark, df, p, parquet_dir=d))
     assert jobs[4] - jobs[2] <= 8, jobs

@@ -6,6 +6,7 @@ import pytest
 from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
 from repro.baselines.linear_scan import bruteforce_topk
 from repro.baselines.qalsh import build_qalsh, knn_qalsh
+from repro.core.build import vector_store
 from repro.core.query import exact_dists
 from repro.metrics import recall_at_k
 
@@ -25,7 +26,7 @@ def qa(spark, tiny_df):
 def test_exact_check_distances(spark, tiny_df, tiny_xq):
     X, Q = tiny_xq
     pairs = pd.DataFrame({"qid": [0, 0, 1], "id": [3, 7, 3]})
-    got = exact_dists(tiny_df, pairs, Q)
+    got = exact_dists(vector_store(tiny_df), pairs, Q)
     assert len(got) == 3
     assert sorted(zip(got["qid"], got["id"])) == [(0, 3), (0, 7), (1, 3)]
     for _, row in got.iterrows():
@@ -35,7 +36,7 @@ def test_exact_check_distances(spark, tiny_df, tiny_xq):
 
 def test_exact_check_empty(spark, tiny_df, tiny_xq):
     _, Q = tiny_xq
-    got = exact_dists(tiny_df, pd.DataFrame(columns=["qid", "id"]), Q)
+    got = exact_dists(vector_store(tiny_df), pd.DataFrame(columns=["qid", "id"]), Q)
     assert got.empty
 
 

@@ -4,8 +4,9 @@ import pandas as pd
 import pytest
 
 from repro.baselines.linear_scan import bruteforce_topk
-from repro.core.build import build_hd_index
-from repro.core.query import knn_query, query_hilbert_keys
+from repro.core.build import build_hd_index, vector_store
+from repro.core.query import exact_dists, knn_query, query_hilbert_keys
+from repro.dist import euclidean
 from repro.metrics import map_at_k, recall_at_k
 from repro.synth_data import vectors_df
 
@@ -132,6 +133,58 @@ def test_exact_with_ties_and_duplicate_candidates(spark, tiny_xq, tiny_params):
     # Odd k: each query's fifth neighbour is the lower id of a tied pair.
     fifth = got[got["rank"] == 5]["id"].to_numpy()
     assert (fifth < 150).all()
+
+
+def test_query_runs_one_spark_job(tiny_index, tiny_xq, spark_jobs):
+    """The candidate pass is the only Spark job of a query: the re-rank
+    reads the vector store on the driver."""
+    _, Q = tiny_xq
+    assert spark_jobs(lambda: knn_query(tiny_index, Q, k=10)) == 1
+    assert spark_jobs(lambda: knn_query(tiny_index, Q[:1], k=10, filters="both")) == 1
+
+
+@pytest.fixture(scope="module")
+def sparse_store(spark):
+    """A store over ids 7 * i + 3, collected from a shuffled table, and its
+    vectors in id order."""
+    rng = np.random.default_rng(5)
+    X = rng.normal(size=(200, 12)) * 100
+    ids = 7 * np.arange(200) + 3
+    pdf = pd.DataFrame({"id": ids, "vec": list(X)}).sample(frac=1.0, random_state=1)
+    return vector_store(spark.createDataFrame(pdf).repartition(3)), ids, X
+
+
+def test_vector_store_sorts_by_id(sparse_store):
+    store, ids, X = sparse_store
+    assert store.ids.dtype == np.int64 and store.vecs.dtype == np.float64
+    assert np.array_equal(store.ids, ids)
+    assert np.array_equal(store.vecs, X)
+
+
+def test_exact_dists_on_sparse_ids(sparse_store):
+    """Scores equal NumPy's exact distances bit for bit; pairs whose id is
+    not in the store (between, below or above its ids) are dropped."""
+    store, ids, X = sparse_store
+    Q = np.random.default_rng(6).normal(size=(4, 12)) * 100
+    rows = np.array([0, 199, 57, 57, 3, 120])
+    qid = np.array([0, 0, 1, 2, 3, 3])
+    absent = pd.DataFrame({"qid": [1, 2, 3, 0], "id": [0, 5, 7 * 200 + 3, ids[9] + 1]})
+    pairs = pd.concat(
+        [pd.DataFrame({"qid": qid, "id": ids[rows]}), absent], ignore_index=True
+    ).sample(frac=1.0, random_state=2)
+    got = exact_dists(store, pairs, Q).sort_values(["qid", "id"], ignore_index=True)
+    ref = pd.DataFrame(
+        {"qid": qid, "id": ids[rows], "dist": euclidean(X[rows], Q[qid])}
+    ).sort_values(["qid", "id"], ignore_index=True)
+    pd.testing.assert_frame_equal(got, ref, check_exact=True)
+
+
+def test_exact_dists_empty_pairs_are_typed(sparse_store):
+    store, _, _ = sparse_store
+    got = exact_dists(store, pd.DataFrame(columns=["qid", "id"]), np.zeros((2, 12)))
+    assert got.empty
+    assert [str(t) for t in got.dtypes] == ["int64", "int64", "float64"]
+    assert list(got.columns) == ["qid", "id", "dist"]
 
 
 def test_stats_alpha_gamma_echo(tiny_index, tiny_xq):
