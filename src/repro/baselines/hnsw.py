@@ -21,7 +21,7 @@ import heapq
 import numpy as np
 import pandas as pd
 
-from repro.core.query import top_k
+from repro.core.query import check_batch, empty_result, top_k
 
 __all__ = ["HNSW", "knn_hnsw"]
 
@@ -131,8 +131,11 @@ def knn_hnsw(
     graph: HNSW, queries: np.ndarray, k: int, *, ef: int = 100
 ) -> pd.DataFrame:
     """Batch wrapper returning the repo-standard (qid, rank, id, dist)."""
+    queries = check_batch(queries, graph.X.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
     found = []
-    for qid, q in enumerate(np.asarray(queries, dtype=np.float64)):
+    for qid, q in enumerate(queries):
         ids, dists = graph.query(q, k, ef)
         found.append(pd.DataFrame({"qid": qid, "id": ids, "dist": dists}))
     return top_k(pd.concat(found, ignore_index=True), k)

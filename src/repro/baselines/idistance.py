@@ -1,23 +1,26 @@
 """iDistance (Yu, Ooi, Tan, Jagadish; VLDB 2001) — the exact baseline.
 
-Every point is keyed by ``center_id * key_stride + d(o, center)`` where
-``center`` is its nearest of C cluster reference points; the single sorted
-key axis is the paper's B+-tree. A kNN query grows a radius r (r0, +Δr per
-round); each round scans, per partition i, the key ring
-``[d(q,c_i) - r, d(q,c_i) + r]`` (clipped to the partition's radius), exact-
-checks the ring members, and stops once the current k-th exact distance is
-<= r — at which point no unexamined point can be closer, so the answer is
-**exact** (verified against linear scan in tests).
+Every point o belongs to the partition of its nearest of C cluster
+reference points c_i and is keyed by ``cdist = d(o, c_i)``; inside
+partition i the paper's B+-tree orders points by that key. For a query q,
+the ring distance ``lb = |d(q, c_i) - cdist|`` is iDistance's key distance
+and, by the triangle inequality, a lower bound on d(q, o): a ring of radius
+r around d(q, c_i) holds every point of partition i within r of q.
 
-Each round is one Spark job: a broadcast range join of the keyed table
-against the ring predicates — the analogue of the B+-tree range scans —
-whose rows already carry their vectors, so a pandas kernel scores them in
-the same pass, and the index needs no vector store for ``query.exact_dists``.
-The finished queries' answers are ranked by ``query.top_k``.
-Distances follow ``repro.dist``'s rule: the ring kernel and the
-query-to-centre distances are exact (``euclidean``); only the build's
-nearest-centre assignment, whose ``cdist`` keys the rings, uses the block
-form. As in
+The paper grows r round by round until the k-th exact distance is <= r.
+Here all rings are walked in one ``mapInPandas`` pass over the keyed table:
+the queries and their exact distances to the centres are broadcast, and for
+each Arrow batch and each query the kernel visits the batch's rows in
+ascending lb, scores them with ``repro.dist.euclidean`` in chunks that grow
+from k, and stops once the next row's lb is strictly greater than its k-th
+exact distance by (dist, id). Every skipped row is then strictly farther
+than k rows of the same batch, so the batch's local top k is exact, ties at
+the k-th distance included; ``query.top_k`` merges the local lists on the
+driver. The pass is one Spark job per query batch.
+
+Distances follow ``repro.dist``'s rule: ``cdist``, the query-to-centre
+distances and the scores are exact (``euclidean``), so the bound holds to
+rounding; only the build's nearest-centre argmin uses the block form. As in
 the paper, iDistance degenerates toward a full scan in high dimensions
 (every ring quickly covers every partition), which is exactly the
 inefficiency HD-Index's Table 5 reports.
@@ -28,27 +31,31 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
+from pyspark.sql import DataFrame, SparkSession
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
-from repro.baselines.linear_scan import knn_linear_scan
 from repro.core.build import sample_vectors
-from repro.core.query import top_k
+from repro.core.query import check_batch, empty_result, top_k
 from repro.dist import block_dists, euclidean
 
 __all__ = ["IDistanceIndex", "build_idistance", "knn_idistance"]
 
 _SAMPLE_CAP = 4096
 
+_PARTIAL_SCHEMA = StructType(
+    [
+        StructField("qid", LongType()),
+        StructField("id", LongType()),
+        StructField("dist", DoubleType()),
+    ]
+)
+
 
 @dataclass
 class IDistanceIndex:
     centers: np.ndarray  # (C, nu)
-    max_radius: np.ndarray  # (C,) partition radius d_max_i
-    keyed: DataFrame  # (id, vec, center_id, cdist, key)
-    key_stride: float
-    n: int
+    keyed: DataFrame  # (id, vec, center_id, cdist)
 
 
 def build_idistance(
@@ -59,7 +66,7 @@ def build_idistance(
     seed: int = 0,
 ) -> IDistanceIndex:
     """Cluster-based reference points (the paper's recommended variant) and
-    the keyed, range-sorted table."""
+    the table keyed by (centre, distance to it)."""
     n = data.count()
     sample = sample_vectors(data, n, _SAMPLE_CAP, seed)
     centers, _ = kmeans(sample, min(n_centers, len(sample)), seed=seed)
@@ -77,127 +84,67 @@ def build_idistance(
         for pdf in batches:
             if pdf.empty:
                 continue
-            d = block_dists(np.vstack(pdf["vec"].to_numpy()), C)
+            X = np.vstack(pdf["vec"].to_numpy())
+            center_id = block_dists(X, C).argmin(1)
             out = pdf.copy()
-            out["center_id"] = d.argmin(1).astype(np.int64)
-            out["cdist"] = d.min(1)
+            out["center_id"] = center_id.astype(np.int64)
+            out["cdist"] = euclidean(X, C[center_id])
             yield out
 
-    assigned = data.mapInPandas(assign, StructType(fields)).persist()
-    radii = (
-        assigned.groupBy("center_id").agg(F.max("cdist").alias("r")).collect()
-    )
-    max_radius = np.zeros(len(centers))
-    for row in radii:
-        max_radius[int(row["center_id"])] = float(row["r"])
-
-    stride = float(max_radius.max()) * 2.0 + 1.0
-    keyed = assigned.withColumn(
-        "key", F.col("center_id").cast("double") * F.lit(stride) + F.col("cdist")
-    ).persist()
+    keyed = data.mapInPandas(assign, StructType(fields)).persist()
     keyed.count()
-    assigned.unpersist()
-    return IDistanceIndex(centers, max_radius, keyed, stride, n)
+    return IDistanceIndex(centers, keyed)
 
 
-def knn_idistance(
-    index: IDistanceIndex,
-    queries: np.ndarray,
-    k: int,
-    *,
-    r0: float | None = None,
-    dr: float | None = None,
-    max_rounds: int = 64,
-) -> pd.DataFrame:
-    """Exact kNN via iterative ring expansion. Returns (qid, rank, id, dist).
+def _ring_topk(X: np.ndarray, ids: np.ndarray, lb: np.ndarray, q: np.ndarray, k: int):
+    """Rows (batch positions) and exact distances of the k rows of ``X``
+    nearest to ``q`` by (dist, id). Rows are scored in ascending ``lb``, a
+    lower bound on their distance, in chunks of k, 2k, 4k, ..., until the
+    next row's bound exceeds the k-th distance scored so far."""
+    order = np.argsort(lb)
+    dists = []
+    seen, step = 0, k
+    while seen < len(order):
+        dists.append(euclidean(X[order[seen : seen + step]], q))
+        seen = min(seen + step, len(order))
+        step *= 2
+        if seen < len(order):  # so seen >= k
+            kth = np.partition(np.concatenate(dists), k - 1)[k - 1]
+            if lb[order[seen]] > kth:
+                break
+    rows, d = order[:seen], np.concatenate(dists)
+    best = np.lexsort((ids[rows], d))[:k]
+    return rows[best], d[best]
 
-    ``r0``/``dr`` default to 1/10 of the mean partition radius — the scale-
-    free analogue of the paper's r=0.01, Δr=0.01 on unit-normalised data.
-    """
-    queries = np.asarray(queries, dtype=np.float64)
-    spark = index.keyed.sparkSession
-    sc = spark.sparkContext
-    scale = float(index.max_radius.mean()) or 1.0
-    r0 = r0 if r0 is not None else 0.1 * scale
-    dr = dr if dr is not None else 0.1 * scale
 
-    qc = euclidean(queries[:, None], index.centers)  # (Q, C)
+def knn_idistance(index: IDistanceIndex, queries: np.ndarray, k: int) -> pd.DataFrame:
+    """Exact kNN by one ring-ordered pass. Returns (qid, rank, id, dist)."""
+    queries = check_batch(queries, index.centers.shape[1], k)
+    if len(queries) == 0:
+        return empty_result()
+    sc = index.keyed.sparkSession.sparkContext
+    b_q = sc.broadcast((queries, euclidean(queries[:, None], index.centers)))
 
-    b_q = sc.broadcast(queries)
-    res_schema = StructType(
-        [
-            StructField("qid", LongType()),
-            StructField("id", LongType()),
-            StructField("dist", DoubleType()),
-        ]
-    )
-
-    active = list(range(len(queries)))
-    results: dict[int, pd.DataFrame] = {}
-    r = r0
-    for _ in range(max_rounds):
-        if not active:
-            break
-        # ring predicates: (qid, center, key_lo, key_hi)
-        rows = []
-        for qid in active:
-            for c in range(len(index.centers)):
-                lo = max(0.0, qc[qid, c] - r)
-                hi = min(index.max_radius[c] + 1e-12, qc[qid, c] + r)
-                if lo > hi:
-                    continue  # ring misses this partition at radius r
-                rows.append(
-                    (qid, c * index.key_stride + lo, c * index.key_stride + hi)
-                )
-        if rows:
-            rings = spark.createDataFrame(
-                pd.DataFrame(rows, columns=["qid", "key_lo", "key_hi"])
+    def local_topk(batches):
+        Q, QC = b_q.value  # queries (Q, nu) and their centre distances (Q, C)
+        for pdf in batches:
+            if pdf.empty:
+                continue
+            X = np.vstack(pdf["vec"].to_numpy())
+            ids = pdf["id"].to_numpy()
+            lb = np.abs(QC[:, pdf["center_id"].to_numpy()] - pdf["cdist"].to_numpy())
+            rows, d = zip(*(_ring_topk(X, ids, lb[qid], q, k) for qid, q in enumerate(Q)))
+            yield pd.DataFrame(
+                {
+                    "qid": np.repeat(np.arange(len(Q)), min(k, len(X))),
+                    "id": ids[np.concatenate(rows)],
+                    "dist": np.concatenate(d),
+                }
             )
-            cand = index.keyed.join(
-                F.broadcast(rings),
-                on=(index.keyed["key"] >= rings["key_lo"])
-                & (index.keyed["key"] <= rings["key_hi"]),
-            ).select("qid", "id", "vec")
 
-            def exact(batches):
-                Q = b_q.value
-                for pdf in batches:
-                    if pdf.empty:
-                        continue
-                    X = np.vstack(pdf["vec"].to_numpy())
-                    qs = pdf["qid"].to_numpy()
-                    d = euclidean(X, Q[qs])
-                    yield pd.DataFrame(
-                        {"qid": qs, "id": pdf["id"].to_numpy(), "dist": d}
-                    )
-
-            got = cand.mapInPandas(exact, res_schema).toPandas()
-        else:
-            got = pd.DataFrame(columns=["qid", "id", "dist"])
-
-        still = []
-        for qid in active:
-            mine = got[got["qid"] == qid]
-            topk = mine.sort_values(["dist", "id"], kind="mergesort").head(k)
-            # stop when k found within r — nothing unexamined can be closer
-            if len(topk) >= k and topk["dist"].iloc[-1] <= r:
-                results[qid] = topk
-            elif len(topk) >= min(k, index.n) and r > index.key_stride:
-                results[qid] = topk  # ring covers every partition fully
-            else:
-                still.append(qid)
-        active = still
-        r += dr
-
-    # Safety net: any query still active after max_rounds gets its best-so-far
-    # via one full-ring pass (r covering everything) — keeps exactness.
-    if active:
-        rest = knn_linear_scan(
-            index.keyed.select("id", "vec"), queries[active], k
-        )
-        remap = {i: qid for i, qid in enumerate(active)}
-        rest["qid"] = rest["qid"].map(remap)
-        for qid, grp in rest.groupby("qid"):
-            results[qid] = grp[["qid", "id", "dist"]]
-
-    return top_k(pd.concat(results.values(), ignore_index=True), k)
+    partials = (
+        index.keyed.select("id", "vec", "center_id", "cdist")
+        .mapInPandas(local_topk, _PARTIAL_SCHEMA)
+        .toPandas()
+    )
+    return top_k(partials, k)

@@ -37,17 +37,8 @@ from repro.harness.datasets import DatasetSpec, load_xq
 from repro.metrics import approximation_ratio, map_at_k, ranked_lists
 from repro.synth_data import vectors_df
 
-__all__ = ["MethodResult", "run_method", "run_dataset", "format_table5_row", "ALL_METHODS"]
-
-ALL_METHODS = [
-    "hdindex",
-    "c2lsh",
-    "srs",
-    "multicurves",
-    "qalsh",
-    "opq",
-    "hnsw",
-    "idistance",
+__all__ = [
+    "MethodResult", "run_method", "run_dataset", "format_table5_row", "ALL_METHODS", "METHODS",
 ]
 
 
@@ -83,6 +74,54 @@ def hd_params_for(spec: DatasetSpec) -> HDIndexParams:
     )
 
 
+# method -> (build(spark, df, X, spec) -> index, query(index, Q, k, spec) ->
+# answer): the Table 5 settings of every method, shared by run_method and
+# benchmarks/bench_table5.py. Linear scan has nothing to build.
+METHODS = {
+    "hdindex": (
+        lambda spark, df, X, spec: build_hd_index(spark, df, hd_params_for(spec)),
+        lambda idx, Q, k, spec: knn_query(idx, Q, k, filters="tri"),
+    ),
+    "c2lsh": (
+        lambda spark, df, X, spec: build_c2lsh(spark, df, m=20, c=2.0),
+        lambda idx, Q, k, spec: knn_c2lsh(idx, Q, k, beta_n=max(100, spec.n // 100)),
+    ),
+    "srs": (
+        lambda spark, df, X, spec: build_srs(spark, df, m_proj=6),
+        lambda idx, Q, k, spec: knn_srs(
+            idx, Q, k, t=0.00242, c=2.0, min_examined=max(400, 2 * k)
+        ),
+    ),
+    "multicurves": (
+        lambda spark, df, X, spec: build_multicurves(spark, df, hd_params_for(spec)),
+        lambda idx, Q, k, spec: knn_multicurves(idx, Q, k, alpha=min(spec.alpha, spec.n)),
+    ),
+    "qalsh": (
+        lambda spark, df, X, spec: build_qalsh(spark, df, m=20, c=2.0),
+        lambda idx, Q, k, spec: knn_qalsh(idx, Q, k, beta_n=max(100, spec.n // 100)),
+    ),
+    "opq": (
+        lambda spark, df, X, spec: build_opq(spark, df, M=2, ksub=256),
+        lambda idx, Q, k, spec: knn_opq(idx, Q, k),
+    ),
+    "hnsw": (
+        lambda spark, df, X, spec: HNSW(X, M=12, ef_construction=128),
+        lambda idx, Q, k, spec: knn_hnsw(idx, Q, k, ef=256),
+    ),
+    "idistance": (
+        lambda spark, df, X, spec: build_idistance(spark, df, n_centers=min(64, spec.n // 10)),
+        lambda idx, Q, k, spec: knn_idistance(idx, Q, k),
+    ),
+    "linear": (
+        lambda spark, df, X, spec: df,
+        lambda df, Q, k, spec: knn_linear_scan(df, Q, k),
+    ),
+}
+
+# HD-Index and its competitors; linear scan runs only when asked for.
+ALL_METHODS = [m for m in METHODS if m != "linear"]
+
+
 def run_method(
     spark: SparkSession,
     method: str,
@@ -93,45 +132,13 @@ def run_method(
     k: int,
 ) -> tuple[pd.DataFrame, float, float]:
     """(results, build_seconds, query_seconds) for one method."""
-    t0 = time.perf_counter()
-    if method == "hdindex":
-        idx = build_hd_index(spark, df, hd_params_for(spec))
-        t1 = time.perf_counter()
-        res = knn_query(idx, Q, k, filters="tri")
-    elif method == "multicurves":
-        p = hd_params_for(spec)
-        idx = build_multicurves(spark, df, p)
-        t1 = time.perf_counter()
-        res = knn_multicurves(idx, Q, k, alpha=min(spec.alpha, spec.n))
-    elif method == "c2lsh":
-        idx = build_c2lsh(spark, df, m=20, c=2.0)
-        t1 = time.perf_counter()
-        res = knn_c2lsh(idx, Q, k, beta_n=max(100, spec.n // 100))
-    elif method == "qalsh":
-        idx = build_qalsh(spark, df, m=20, c=2.0)
-        t1 = time.perf_counter()
-        res = knn_qalsh(idx, Q, k, beta_n=max(100, spec.n // 100))
-    elif method == "srs":
-        idx = build_srs(spark, df, m_proj=6)
-        t1 = time.perf_counter()
-        res = knn_srs(idx, Q, k, t=0.00242, c=2.0, min_examined=max(400, 2 * k))
-    elif method == "opq":
-        idx = build_opq(spark, df, M=2, ksub=256)
-        t1 = time.perf_counter()
-        res = knn_opq(idx, Q, k)
-    elif method == "hnsw":
-        graph = HNSW(X, M=12, ef_construction=128)
-        t1 = time.perf_counter()
-        res = knn_hnsw(graph, Q, k, ef=256)
-    elif method == "idistance":
-        idx = build_idistance(spark, df, n_centers=min(64, spec.n // 10))
-        t1 = time.perf_counter()
-        res = knn_idistance(idx, Q, k)
-    elif method == "linear":
-        t1 = time.perf_counter()
-        res = knn_linear_scan(df, Q, k)
-    else:
+    if method not in METHODS:
         raise ValueError(f"unknown method {method!r}")
+    build, query = METHODS[method]
+    t0 = time.perf_counter()
+    index = build(spark, df, X, spec)
+    t1 = time.perf_counter()
+    res = query(index, Q, k, spec)
     t2 = time.perf_counter()
     return res, t1 - t0, t2 - t1
 

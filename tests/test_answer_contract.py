@@ -67,9 +67,10 @@ def test_answer_contract(answers, tiny_xq, method):
 
 
 # HD-Index and Multicurves, which also check alpha, have their own input
-# tests (test_query_validation, test_multicurves_rejects_bad_input); linear
-# scan, HNSW and iDistance do not check their batch yet.
-CHECKED = ["c2lsh", "qalsh", "srs", "opq"]
+# tests (test_query_validation, test_multicurves_rejects_bad_input). Linear
+# scan does not check its batch: its DataFrame carries no nu without a
+# Spark job.
+CHECKED = ["c2lsh", "qalsh", "srs", "opq", "hnsw", "idistance"]
 
 
 @pytest.mark.parametrize(

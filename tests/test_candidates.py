@@ -7,6 +7,7 @@ import numpy as np
 import pandas as pd
 import pytest
 
+from repro.baselines.idistance import build_idistance, knn_idistance
 from repro.baselines.multicurves import knn_multicurves
 from repro.core.build import build_hd_index
 from repro.core.query import (
@@ -104,11 +105,13 @@ def test_key_order_is_exact(width):
         assert key_order(limbs, ids).tolist() == want
 
 
-def test_answers_do_not_depend_on_arrow_batches(spark, tiny_index, tiny_mc, tiny_xq):
-    """With 7-row Arrow batches every window spans many batches; the
-    driver's merge must still give the answers of the default batch size."""
+def test_answers_do_not_depend_on_arrow_batches(spark, tiny_df, tiny_index, tiny_mc, tiny_xq):
+    """With 7-row Arrow batches every window spans many batches, and
+    iDistance's chunk and batch edges fall everywhere; the driver's merge
+    must still give the answers of the default batch size."""
     X, Q = tiny_xq
     queries = np.vstack([Q, X[[5, 123]]])
+    idist = build_idistance(spark, tiny_df, n_centers=8)
 
     def answers():
         return [
@@ -116,6 +119,7 @@ def test_answers_do_not_depend_on_arrow_batches(spark, tiny_index, tiny_mc, tiny
             knn_query(tiny_index, queries, k=10, alpha=37, beta=20, gamma=9, filters="both"),
             knn_query(tiny_index, queries, k=10, alpha=37, filters="none"),
             knn_multicurves(tiny_mc, queries, k=10, alpha=37),
+            knn_idistance(idist, queries, k=3),
         ]
 
     default = answers()
