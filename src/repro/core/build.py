@@ -12,13 +12,14 @@ Pipeline per the paper, in Spark:
    (dimension partitions P_i) and emits their Hilbert keys (hex, fixed
    width, curve order omega) as one array; ``posexplode`` turns it into
    ``(tree_id, id, hkey, rdist)`` rows, tau per object;
-4. one ``rdbtree.assign_leaves`` sorts all of them by ``(tree_id, hkey,
-   id)`` and buckets every tree into leaves of exactly Omega slots, and one
-   ``rdbtree.leaf_fences`` collects the fences of every tree, folded into
-   one driver-side ``FenceHierarchy`` per tree. Each tree is then split off
-   into its own cache or Parquet directory. The Multicurves baseline builds
-   its trees with the same code (``build_curve_trees``), storing vectors
-   instead of ``rdist``;
+4. one ``rdbtree.assign_leaves`` ranks every tree by ``(hkey, id)`` in one
+   ``row_number`` window partitioned by ``tree_id`` and buckets it into
+   leaves of exactly Omega slots; each tree comes out as one key-ordered
+   run in one partition. One ``rdbtree.leaf_fences`` collects the fences of
+   every tree, folded into one driver-side ``FenceHierarchy`` per tree.
+   Each tree is then split off into its own cache or Parquet directory.
+   The Multicurves baseline builds its trees with the same code
+   (``build_curve_trees``), storing vectors instead of ``rdist``;
 5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
    coalesced to the default parallelism — is the one table a query's
    candidate pass scans. It is a plan over the cached (or Parquet) trees,
@@ -89,7 +90,7 @@ class HDIndex:
     params: HDIndexParams
     ref_vectors: np.ndarray  # (m, nu)
     ref_pairwise: np.ndarray  # (m, m) distances between references
-    trees: list  # list[DataFrame] with (id, hkey, rdist, leaf_id, slot)
+    trees: list  # list[DataFrame] with (id, hkey, rdist, leaf_id)
     hierarchies: list  # list[FenceHierarchy]
     leaves: DataFrame  # (tree_id, id, hkey, leaf_id, rdist): the trees' union
     store: VectorStore  # the vectors by id, for the exact re-rank
@@ -140,7 +141,7 @@ def build_curve_trees(
     row's tau keys, ``posexplode`` turns them into ``(tree_id, id, hkey,
     payload)`` rows, and one ``assign_leaves`` and one ``leaf_fences`` number
     and fence every tree. Each tree is then split off as ``(id, hkey,
-    payload, leaf_id, slot)``, cached in memory or, with ``parquet_dir``,
+    payload, leaf_id)``, cached in memory or, with ``parquet_dir``,
     written to ``{parquet_dir}/tree_{i}`` and re-read from disk. The union
     ``leaves`` is ``(tree_id, id, hkey, leaf_id, payload)`` coalesced to the
     default parallelism, so one scan of it is one wave of tasks; it is not
@@ -160,7 +161,7 @@ def build_curve_trees(
 
     trees, hierarchies = [], []
     for i in range(len(partitions)):
-        tree = numbered.filter(F.col(TREE_COL) == i).select("id", "hkey", payload, "leaf_id", "slot")
+        tree = numbered.filter(F.col(TREE_COL) == i).select("id", "hkey", payload, "leaf_id")
         if parquet_dir is None:
             tree = tree.persist()
         else:
@@ -181,9 +182,7 @@ def build_curve_trees(
     if parquet_dir is None:
         # One job over the union fills every tree's cache.
         leaves.count()
-    # The trees now read their own caches or files; a cache still empty
-    # here would be recomputed from ``numbered``'s plan, whose range
-    # boundaries are sampled again.
+    # The trees now read their own caches or files.
     numbered.unpersist()
     return trees, hierarchies, leaves
 

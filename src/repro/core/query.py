@@ -320,6 +320,11 @@ def knn_query(
     The funnel sizes must satisfy gamma >= 1, gamma <= alpha in 'tri' mode
     and 1 <= gamma <= beta <= alpha in 'both' mode; else ValueError.
 
+    Queries may lie outside [domain_lo, domain_hi]: only their Hilbert keys
+    clamp, to the nearest grid cell. The reference distances, the filter
+    bounds and the exact distances use the query as given, so every
+    returned distance is exact to it.
+
     ``return_stats=True`` also returns ``mean_kappa`` (distinct candidates
     per query), ``short_results`` (queries with fewer than k rows), and the
     alpha and gamma used; they come from the collected candidates, at no

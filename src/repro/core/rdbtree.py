@@ -5,12 +5,13 @@ entry, (hilbert key, object pointer, distances to the m reference objects) —
 exactly Omega entries per 4 KB page (Eq. 4). Our distributed realisation
 keeps that geometry:
 
-* the **leaf level** is a DataFrame with columns ``(leaf_id, slot, hkey, id,
-  rdist)`` where ``(leaf_id, slot)`` comes from the global sort order by
-  ``hkey`` bucketed Omega-at-a-time. It is range-partitioned by ``hkey``, so
-  each Spark partition holds a contiguous run of leaves. Queries do not yet
-  exploit that: the leaf windows are broadcast to one pass over the union
-  of the trees, which reads every row of every tree, not the paper's
+* the **leaf level** is a DataFrame with columns ``(id, hkey, rdist,
+  leaf_id)``, where ``leaf_id`` is the row's rank in ``(hkey, id)`` order
+  divided by Omega: one ``row_number`` window per tree. Each tree is one
+  key-ordered run in one Spark partition, so the sort runs at most
+  min(tau, default parallelism) tasks at a time. Queries do not yet exploit
+  the order: the leaf windows are broadcast to one pass over the union of
+  the trees, which reads every row of every tree, not the paper's
   O(log n + alpha/Omega) page reads;
 * the **internal levels** are the per-leaf key fences (min/max key, slot
   count) held on the driver (`FenceHierarchy`). n/Omega fences for n in the
@@ -18,24 +19,16 @@ keeps that geometry:
   paper cache internal nodes in RAM. A theta-way descent over them lands on
   the same leaf as one bisect, so lookups bisect and the height is computed.
 
-Global sort positions are computed with the standard distributed-rank idiom:
-range partition -> sort within partitions -> per-partition counts -> driver
-cumsum of offsets -> offset + local index, avoiding a single-partition window.
-The build ranks all tau trees in one such pass: rows carry a ``tree_id``,
-the sort key is ``(tree_id, hkey, id)``, and the offsets are kept per
-(partition, tree), so a tree that spans several partitions is numbered
-across them and every tree's numbering starts at 0.
+The build ranks all tau trees in one pass: rows carry a ``tree_id``, and
+the window is partitioned by it, so every tree's numbering starts at 0.
 """
 from __future__ import annotations
 
 import bisect
-import collections
 import itertools
 
-import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, functions as F
-from pyspark.sql.types import LongType, StructField, StructType
 
 __all__ = ["assign_leaves", "leaf_fences", "FenceHierarchy", "TREE_COL"]
 
@@ -45,75 +38,25 @@ TREE_COL = "tree_id"  # present when one DataFrame holds the rows of several tre
 def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
     """Bucket rows into RDB-tree leaves of exactly ``leaf_order`` slots.
 
-    Adds ``leaf_id`` (0-based, contiguous in global ``key_col`` order) and
-    ``slot`` (position within the leaf). Ties on ``key_col`` are broken by
-    ``id`` so the assignment is deterministic. When ``df`` has a ``tree_id``
-    column, each tree is bucketed on its own — ``leaf_id`` and ``slot``
-    restart in every tree — from one sort by ``(tree_id, key_col, id)``.
+    Adds ``leaf_id``: the row's 0-based rank in ``(key_col, id)`` order,
+    divided by ``leaf_order``. When ``df`` has a ``tree_id`` column the rank
+    restarts in every tree, so each tree is bucketed on its own. The rank is
+    one ``row_number`` window per tree, coalesced to the default parallelism:
+    every tree comes back as one key-ordered run in one partition.
 
     The result comes back persisted and materialised; the caller owns that
     cache (``unpersist`` it once the tree is written elsewhere).
     """
     if leaf_order < 1:
         raise ValueError("leaf_order must be >= 1")
-    by = [TREE_COL] if TREE_COL in df.columns else []
-    sort_cols = [*by, key_col, "id"]
-    n_partitions = max(2, df.sparkSession.sparkContext.defaultParallelism // 2)
-    part = df.repartitionByRange(n_partitions, *sort_cols).sortWithinPartitions(
-        *sort_cols
+    by = f"PARTITION BY {TREE_COL} " if TREE_COL in df.columns else ""
+    rank = f"row_number() OVER ({by}ORDER BY {key_col}, id) - 1"
+    out = (
+        df.selectExpr("*", f"({rank}) div {leaf_order} AS leaf_id")
+        .coalesce(df.sparkSession.sparkContext.defaultParallelism)
+        .persist()
     )
-    part = part.withColumn("_pid", F.spark_partition_id())
-    # repartitionByRange SAMPLES its boundaries per action; without pinning,
-    # the counts pass and the numbering pass below could execute under
-    # different partitionings and corrupt the global order. Persist, so the
-    # counts pass materialises the layout the numbering pass then reads.
-    part = part.persist()
-
-    # Offset of each (partition, tree) run: the rows of that tree in the
-    # partitions before it.
-    counts = sorted(
-        (r["_pid"], r[TREE_COL] if by else 0, r["cnt"])
-        for r in part.groupBy("_pid", *by).agg(F.count("*").alias("cnt")).collect()
-    )
-    offsets: dict[tuple[int, int], int] = {}
-    acc: dict[int, int] = collections.defaultdict(int)
-    for pid, tree, cnt in counts:
-        offsets[pid, tree] = acc[tree]
-        acc[tree] += cnt
-
-    schema = StructType(
-        part.schema.fields
-        + [StructField("leaf_id", LongType()), StructField("slot", LongType())]
-    )
-    b_offsets = df.sparkSession.sparkContext.broadcast(offsets)
-
-    def _number(batches):
-        # One partition == one iterator; rows arrive sorted, so every tree
-        # is one run of rows. Number each run from its global offset.
-        local: dict[int, int] = collections.defaultdict(int)
-        for pdf in batches:
-            if pdf.empty:
-                continue
-            pid = int(pdf["_pid"].iloc[0])
-            trees = pdf[TREE_COL].to_numpy() if by else np.zeros(len(pdf), np.int64)
-            cuts = [0, *(np.flatnonzero(np.diff(trees)) + 1), len(pdf)]
-            pos = np.empty(len(pdf), np.int64)
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                tree = int(trees[lo])
-                start = b_offsets.value[pid, tree] + local[tree]
-                pos[lo:hi] = np.arange(start, start + hi - lo)
-                local[tree] += hi - lo
-            out = pdf.copy()
-            out["leaf_id"] = pos // leaf_order
-            out["slot"] = pos % leaf_order
-            yield out
-
-    out = part.mapInPandas(_number, schema=schema).drop("_pid").persist()
     out.count()
-    # Reads of ``out`` now hit its cache, not ``part``. Recomputing ``part``
-    # would re-sample the range boundaries against stale offsets, so release
-    # it only now.
-    part.unpersist()
     return out
 
 

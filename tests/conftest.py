@@ -48,6 +48,19 @@ def tiny_index(spark, tiny_df, tiny_params):
 
 
 @pytest.fixture(scope="session")
+def twice_x(tiny_xq):
+    """The first 300 tiny vectors stored twice, as ids i and i + 300: each
+    key appears at least twice, so key ties straddle an odd alpha cut."""
+    X, _ = tiny_xq
+    return np.vstack([X[:300], X[:300]])
+
+
+@pytest.fixture(scope="session")
+def twice_index(spark, twice_x, tiny_params):
+    return build_hd_index(spark, vectors_df(spark, twice_x, n_partitions=2), tiny_params)
+
+
+@pytest.fixture(scope="session")
 def tiny_mc(spark, tiny_df, tiny_params):
     return build_multicurves(spark, tiny_df, tiny_params)
 

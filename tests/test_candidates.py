@@ -9,20 +9,9 @@ import pytest
 
 from repro.baselines.idistance import build_idistance, knn_idistance
 from repro.baselines.multicurves import knn_multicurves
-from repro.core.build import build_hd_index
 from repro.core.query import (
     curve_candidates, key_dist, key_limbs, key_order, knn_query, query_hilbert_keys,
 )
-from repro.synth_data import vectors_df
-
-
-@pytest.fixture(scope="module")
-def twice_index(spark, tiny_xq, tiny_params):
-    """Every vector stored twice: each key appears at least twice, so key
-    ties straddle an odd alpha cut."""
-    X, _ = tiny_xq
-    X2 = np.vstack([X[:300], X[:300]])
-    return build_hd_index(spark, vectors_df(spark, X2, n_partitions=2), tiny_params)
 
 
 def _no_scores(qid, payload_rows):

@@ -251,3 +251,27 @@ def test_single_query_batch(tiny_index, tiny_xq):
     _, Q = tiny_xq
     got = knn_query(tiny_index, Q[:1], k=4)
     assert len(got) == 4
+
+
+def test_out_of_domain_queries(tiny_index, tiny_xq, tiny_params):
+    """Queries outside [domain_lo, domain_hi]: only their Hilbert keys
+    clamp, so every query gets k rows whose distances are exact to the
+    query as given, and with alpha >= n and no filters the answer is exact."""
+    X, Q = tiny_xq
+    lo, hi = tiny_params.domain_lo, tiny_params.domain_hi
+    span = hi - lo
+    outside = np.vstack([
+        Q[0] + 2 * span,
+        Q[1] - 1.5 * span,
+        np.where(np.arange(tiny_params.nu) % 2, lo - 0.5 * span, hi + 0.5 * span),
+        np.r_[Q[2][:-1], hi + 10 * span],
+    ])
+    got = knn_query(tiny_index, outside, k=10)
+    assert (got.groupby("qid").size() == 10).all() and got["qid"].nunique() == len(outside)
+    exact = euclidean(X[got["id"].to_numpy()], outside[got["qid"].to_numpy()])
+    assert np.array_equal(got["dist"].to_numpy(), exact)
+    pd.testing.assert_frame_equal(
+        knn_query(tiny_index, outside, k=10, alpha=len(X), filters="none"),
+        bruteforce_topk(X, outside, k=10),
+        check_exact=True,
+    )

@@ -23,15 +23,14 @@ def keyed_df(spark):
 
 
 def test_assign_leaves_matches_sql_oracle(keyed_df):
-    """leaf_id/slot equal a row_number window bucketed Omega-at-a-time —
+    """leaf_id equals a row_number window bucketed Omega-at-a-time —
     checked against DuckDB running the equivalent SQL."""
     df, pdf = keyed_df
     omega = 37
-    out = assign_leaves(df, "hkey", omega).select("id", "hkey", "leaf_id", "slot")
+    out = assign_leaves(df, "hkey", omega).select("id", "hkey", "leaf_id")
     sql = f"""
         SELECT id, hkey,
-               CAST(FLOOR((rn - 1) / {omega}) AS BIGINT) AS leaf_id,
-               CAST((rn - 1) % {omega} AS BIGINT) AS slot
+               CAST(FLOOR((rn - 1) / {omega}) AS BIGINT) AS leaf_id
         FROM (SELECT id, hkey,
                      row_number() OVER (ORDER BY hkey, id) AS rn
               FROM input)
@@ -95,11 +94,13 @@ def test_leaf_fences_shape(keyed_df):
 
 def test_numbering_by_tree_equals_per_tree_numbering(spark):
     """With a ``tree_id`` column, one assign_leaves/leaf_fences pass equals
-    running them on each tree alone, row for row and fence for fence."""
+    running them on each tree alone, row for row and fence for fence. Every
+    tree comes back whole in one partition, and the result has at most the
+    default parallelism's partitions."""
     omega = 37
     rng = np.random.default_rng(4)
-    # Tree 1 is smaller than one leaf; tree 2 holds most rows, so it crosses
-    # a range-partition boundary. Keys come from a few values: many ties.
+    # Tree 1 is smaller than one leaf; tree 2 holds most rows. Keys come
+    # from a few values: many ties.
     sizes = {0: 300, 1: 5, 2: 700}
     pdf = pd.concat(
         pd.DataFrame(
@@ -120,7 +121,8 @@ def test_numbering_by_tree_equals_per_tree_numbering(spark):
         .count()
         .collect()
     )
-    assert spread[2] > 1
+    assert spread == {t: 1 for t in sizes}
+    assert both.rdd.getNumPartitions() <= spark.sparkContext.defaultParallelism
     fences = leaf_fences(both)
     rows = both.toPandas()
     for t in sizes:
