@@ -53,7 +53,7 @@ def test_bench_build_c2lsh_sift10k(benchmark, spark, sift10k_df):
 
 def test_bench_build_srs_sift10k(benchmark, spark, sift10k_df):
     idx = benchmark.pedantic(
-        lambda: build_srs(spark, sift10k_df, m_proj=6), rounds=1, iterations=1
+        lambda: build_srs(spark, sift10k_df), rounds=1, iterations=1
     )
     assert idx.n == SPEC.n
 

@@ -36,21 +36,12 @@ from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.baselines.kmeans import kmeans
 from repro.core.build import sample_vectors
-from repro.core.query import check_batch, empty_result, top_k
+from repro.core.query import DIST_SCHEMA, check_batch, empty_result, top_k
 from repro.dist import block_dists, euclidean
 
 __all__ = ["IDistanceIndex", "build_idistance", "knn_idistance"]
 
 _SAMPLE_CAP = 4096
-
-_PARTIAL_SCHEMA = StructType(
-    [
-        StructField("qid", LongType()),
-        StructField("id", LongType()),
-        StructField("dist", DoubleType()),
-    ]
-)
-
 
 @dataclass
 class IDistanceIndex:
@@ -144,7 +135,7 @@ def knn_idistance(index: IDistanceIndex, queries: np.ndarray, k: int) -> pd.Data
 
     partials = (
         index.keyed.select("id", "vec", "center_id", "cdist")
-        .mapInPandas(local_topk, _PARTIAL_SCHEMA)
+        .mapInPandas(local_topk, DIST_SCHEMA)
         .toPandas()
     )
     return top_k(partials, k)

@@ -15,20 +15,11 @@ from __future__ import annotations
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame
-from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
-from repro.core.query import top_k
+from repro.core.query import DIST_SCHEMA, check_batch, empty_result, smallest_per_query, top_k
 from repro.dist import block_dists, euclidean
 
 __all__ = ["knn_linear_scan", "bruteforce_topk"]
-
-_PARTIAL_SCHEMA = StructType(
-    [
-        StructField("qid", LongType()),
-        StructField("id", LongType()),
-        StructField("dist", DoubleType()),
-    ]
-)
 
 
 def bruteforce_topk(X: np.ndarray, queries: np.ndarray, k: int) -> pd.DataFrame:
@@ -50,28 +41,29 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
     """Exact kNN of every query against ``data`` (id, vec) via full scan.
 
     Returns (qid, rank, id, dist) with rank 1-based, ties broken by id.
+    The batch's width is taken from the batch itself: ``data`` carries no nu
+    without a Spark job.
     """
-    queries = np.asarray(queries, dtype=np.float64)
-    sc = data.sparkSession.sparkContext
-    b_q = sc.broadcast(queries)
+    queries = check_batch(queries, np.shape(queries)[-1] if np.ndim(queries) else 0, k)
+    if len(queries) == 0:
+        return empty_result()
+    b_q = data.sparkSession.sparkContext.broadcast(queries)
 
     def local_topk(batches):
         for pdf in batches:
             if pdf.empty:
                 continue
             X = np.vstack(pdf["vec"].to_numpy())
-            ids = pdf["id"].to_numpy()
             Q = b_q.value
-            d = block_dists(Q, X)  # (Q, b), only to choose each query's kk rows
-            kk = min(k, d.shape[1])
-            part = np.argpartition(d, kk - 1, axis=1)[:, :kk]
+            # the block form only chooses each query's k rows
+            qid, rows = smallest_per_query(block_dists(Q, X), k)
             yield pd.DataFrame(
                 {
-                    "qid": np.repeat(np.arange(len(Q)), kk),
-                    "id": ids[part].ravel(),
-                    "dist": euclidean(X[part], Q[:, None, :]).ravel(),
+                    "qid": qid,
+                    "id": pdf["id"].to_numpy()[rows],
+                    "dist": euclidean(X[rows], Q[qid]),
                 }
             )
 
-    partials = data.select("id", "vec").mapInPandas(local_topk, _PARTIAL_SCHEMA).toPandas()
+    partials = data.select("id", "vec").mapInPandas(local_topk, DIST_SCHEMA).toPandas()
     return top_k(partials, k)

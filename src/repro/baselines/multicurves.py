@@ -56,11 +56,11 @@ class MulticurvesIndex:
 def build_multicurves(
     spark: SparkSession, data: DataFrame, params: HDIndexParams
 ) -> MulticurvesIndex:
-    """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order."""
-    n = data.count()
+    """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order;
+    n is the slot count of a tree's fences, since every tree holds every id."""
     order = mc_leaf_order(params.eta, params.omega, params.nu, params.page_size)
     trees, hierarchies, leaves = build_curve_trees(spark, data, params, "vec", order)
-    return MulticurvesIndex(params, trees, hierarchies, leaves, n, order)
+    return MulticurvesIndex(params, trees, hierarchies, leaves, hierarchies[0].total_slots, order)
 
 
 def knn_multicurves(

@@ -9,14 +9,18 @@ t*n points (the examined-fraction budget) or when the early-termination
 test holds — the projected distance of the next unexamined point is
 already so large that, under the chi-squared distribution of
 ||proj(x-q)||^2 / d(x,q)^2, the chance of it beating the current k-th
-exact neighbour within ratio c is below the threshold tau'.
+exact neighbour within ratio c is below the threshold tau'. m' is fixed at
+6 because the stopping rule's chi-squared quantile is for 6 degrees of
+freedom.
 
-Our realisation computes the projected distances with one Spark pass whose
-Arrow batches each keep their (budget+1)-smallest per query. The driver
-keeps each query's (budget+1)-smallest overall by (pdist, id): the maximal
-scan prefix, plus the next point for the stopping test. The prefix is
-scored with ``query.exact_dists``, the ordered scan is replayed with the
-stopping rule on the driver, and the examined points are ranked by
+The build collects the vectors into the index's vector store (nu and n come
+from it) and stores the projections with ``lsh_common.project``. A query
+computes the projected distances in one Spark pass whose Arrow batches each
+keep their (budget+1)-smallest per query (``query.smallest_per_query``).
+The driver keeps each query's (budget+1)-smallest overall by (pdist, id):
+the maximal scan prefix, plus the next point for the stopping test. The
+prefix is scored with ``query.exact_dists``, the ordered scan is replayed
+with the stopping rule on the driver, and the examined points are ranked by
 ``query.top_k`` — result-identical to the R-tree incremental search of the
 authors' code (DESIGN.md deviation #5).
 """
@@ -26,15 +30,18 @@ from dataclasses import dataclass
 
 import numpy as np
 import pandas as pd
-from pyspark.sql import DataFrame, SparkSession, functions as F
-from pyspark.sql.types import ArrayType, DoubleType, LongType, StructField, StructType
+from pyspark.sql import DataFrame, SparkSession
 
+from repro.baselines.lsh_common import project
 from repro.core.build import VectorStore, vector_store
-from repro.core.query import check_batch, empty_result, exact_dists, top_k
+from repro.core.query import (
+    DIST_SCHEMA, check_batch, empty_result, exact_dists, smallest_per_query, top_k,
+)
 from repro.dist import block_dists
 
 __all__ = ["SRSIndex", "build_srs", "knn_srs"]
 
+_M_PROJ = 6  # m', the projected dimensionality
 # chi^2 inverse CDF at the paper's early-termination threshold tau'=0.1809
 # for m'=6 degrees of freedom (precomputed; no scipy in the container).
 _CHI2_Q_TAU_M6 = 2.9046
@@ -46,25 +53,12 @@ class SRSIndex:
     projected: DataFrame  # (id, p: array<double>)
     store: VectorStore  # the vectors by id, for the exact checks
     n: int
-    m_proj: int
 
 
-def build_srs(
-    spark: SparkSession, data: DataFrame, *, m_proj: int = 6, seed: int = 2
-) -> SRSIndex:
-    rng = np.random.default_rng(seed)
-    nu = len(data.select("vec").first()["vec"])
-    A = rng.normal(0.0, 1.0, size=(m_proj, nu))
-    b_A = spark.sparkContext.broadcast(A)
-
-    @F.pandas_udf(ArrayType(DoubleType()))
-    def proj_udf(vec: pd.Series) -> pd.Series:
-        X = np.vstack(vec.to_numpy())
-        return pd.Series(list(X @ b_A.value.T))
-
-    projected = data.select("id", proj_udf("vec").alias("p")).persist()
-    n = projected.count()
-    return SRSIndex(A, projected, vector_store(data), n, m_proj)
+def build_srs(spark: SparkSession, data: DataFrame, *, seed: int = 2) -> SRSIndex:
+    store = vector_store(data)
+    A = np.random.default_rng(seed).normal(0.0, 1.0, size=(_M_PROJ, store.vecs.shape[1]))
+    return SRSIndex(A, project(data, A), store, len(store.ids))
 
 
 def knn_srs(
@@ -91,34 +85,22 @@ def knn_srs(
     QP = queries @ index.A.T  # (Q, m')
     b_qp = sc.broadcast(QP)
 
-    pd_schema = StructType(
-        [
-            StructField("qid", LongType()),
-            StructField("id", LongType()),
-            StructField("pdist", DoubleType()),
-        ]
-    )
-
     def proj_dists(batches):
         qp = b_qp.value
         for pdf in batches:
             if pdf.empty:
                 continue
-            P = np.vstack(pdf["p"].to_numpy())  # (b, m')
-            d = block_dists(P, qp)  # (b, Q)
-            kk = min(budget + 1, d.shape[0])
-            ids = pdf["id"].to_numpy()
-            frames = []
-            for qi in range(d.shape[1]):
-                sel = np.argpartition(d[:, qi], kk - 1)[:kk]
-                frames.append(
-                    pd.DataFrame(
-                        {"qid": qi, "id": ids[sel], "pdist": d[sel, qi]}
-                    )
-                )
-            yield pd.concat(frames, ignore_index=True)
+            d = block_dists(np.vstack(pdf["p"].to_numpy()), qp).T  # (Q, b)
+            qid, rows = smallest_per_query(d, budget + 1)
+            yield pd.DataFrame(
+                {"qid": qid, "id": pdf["id"].to_numpy()[rows], "dist": d[qid, rows]}
+            )
 
-    partials = index.projected.mapInPandas(proj_dists, pd_schema).toPandas()
+    partials = (
+        index.projected.mapInPandas(proj_dists, DIST_SCHEMA)
+        .toPandas()
+        .rename(columns={"dist": "pdist"})
+    )
     # keep the (budget+1)-smallest projected distances per query: budget
     # points may be examined, the +1 drives the early-termination test.
     prefix = (

@@ -43,8 +43,8 @@ from repro.dist import euclidean
 
 __all__ = [
     "knn_query", "curve_candidates", "key_limbs", "key_dist", "key_order", "exact_dists", "top_k",
-    "check_batch", "empty_result", "query_hilbert_keys", "triangular_bounds",
-    "ptolemaic_bounds",
+    "DIST_SCHEMA", "smallest_per_query", "check_batch", "empty_result", "query_hilbert_keys",
+    "triangular_bounds", "ptolemaic_bounds",
 ]
 
 
@@ -118,6 +118,22 @@ def top_k(dists: pd.DataFrame, k: int) -> pd.DataFrame:
     top = dists.sort_values(["qid", "dist", "id"]).groupby("qid").head(k)
     top.insert(1, "rank", top.groupby("qid").cumcount() + 1)
     return top.reset_index(drop=True)
+
+
+# The Spark schema of the (qid, id, dist) partials that exhaustive scans
+# return for ``top_k`` to merge.
+DIST_SCHEMA = StructType(
+    [StructField(c, LongType()) for c in ["qid", "id"]] + [StructField("dist", DoubleType())]
+)
+
+
+def smallest_per_query(scores: np.ndarray, kk: int) -> tuple[np.ndarray, np.ndarray]:
+    """The flattened ``(qid, row)`` of each query's ``kk`` smallest scores in
+    a ``(Q, b)`` score matrix (all b when b <= kk), in no particular order:
+    an exhaustive scan's per-batch cut before ``top_k`` merges the batches."""
+    kk = min(kk, scores.shape[1])
+    rows = np.argpartition(scores, kk - 1, axis=1)[:, :kk]
+    return np.repeat(np.arange(len(scores)), kk), rows.ravel()
 
 
 def exact_dists(store: VectorStore, pairs: pd.DataFrame, queries: np.ndarray) -> pd.DataFrame:

@@ -83,11 +83,11 @@ METHODS = {
         lambda idx, Q, k, spec: knn_query(idx, Q, k, filters="tri"),
     ),
     "c2lsh": (
-        lambda spark, df, X, spec: build_c2lsh(spark, df, m=20, c=2.0),
+        lambda spark, df, X, spec: build_c2lsh(spark, df, m=20),
         lambda idx, Q, k, spec: knn_c2lsh(idx, Q, k, beta_n=max(100, spec.n // 100)),
     ),
     "srs": (
-        lambda spark, df, X, spec: build_srs(spark, df, m_proj=6),
+        lambda spark, df, X, spec: build_srs(spark, df),
         lambda idx, Q, k, spec: knn_srs(
             idx, Q, k, t=0.00242, c=2.0, min_examined=max(400, 2 * k)
         ),
@@ -97,7 +97,7 @@ METHODS = {
         lambda idx, Q, k, spec: knn_multicurves(idx, Q, k, alpha=min(spec.alpha, spec.n)),
     ),
     "qalsh": (
-        lambda spark, df, X, spec: build_qalsh(spark, df, m=20, c=2.0),
+        lambda spark, df, X, spec: build_qalsh(spark, df, m=20),
         lambda idx, Q, k, spec: knn_qalsh(idx, Q, k, beta_n=max(100, spec.n // 100)),
     ),
     "opq": (

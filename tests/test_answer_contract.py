@@ -68,24 +68,29 @@ def test_answer_contract(answers, tiny_xq, method):
 
 # HD-Index and Multicurves, which also check alpha, have their own input
 # tests (test_query_validation, test_multicurves_rejects_bad_input). Linear
-# scan does not check its batch: its DataFrame carries no nu without a
-# Spark job.
-CHECKED = ["c2lsh", "qalsh", "srs", "opq", "hnsw", "idistance"]
+# scan takes nu from the batch itself, because its DataFrame carries no nu
+# without a Spark job, so it cannot reject a batch of the wrong width.
+CHECKED = ["c2lsh", "qalsh", "srs", "opq", "hnsw", "idistance", "linear"]
+BAD_INPUT = {
+    "dims": (np.zeros((2, 3)), 5),  # wrong dimensionality
+    "1d": (np.zeros(16), 5),  # one query, not a batch
+    "k0": (np.zeros((2, 16)), 0),
+    "nan": (np.array([[np.nan] + [0.0] * 15]), 5),
+    "inf": (np.full((1, 16), -np.inf), 5),
+}
 
 
 @pytest.mark.parametrize(
-    "queries,k",
+    "method,case",
     [
-        (np.zeros((2, 3)), 5),  # wrong dimensionality
-        (np.zeros(16), 5),  # one query, not a batch
-        (np.zeros((2, 16)), 0),
-        (np.array([[np.nan] + [0.0] * 15]), 5),
-        (np.full((1, 16), -np.inf), 5),
+        pytest.param(method, case, id=f"{method}-{case}")
+        for method in CHECKED
+        for case in BAD_INPUT
+        if (method, case) != ("linear", "dims")
     ],
-    ids=["dims", "1d", "k0", "nan", "inf"],
 )
-@pytest.mark.parametrize("method", CHECKED)
-def test_rejects_bad_input(methods, method, queries, k):
+def test_rejects_bad_input(methods, method, case):
+    queries, k = BAD_INPUT[case]
     with pytest.raises(ValueError):
         methods[method](queries, k)
 

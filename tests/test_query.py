@@ -5,7 +5,7 @@ import pytest
 
 from repro.baselines.linear_scan import bruteforce_topk
 from repro.core.build import build_hd_index, vector_store
-from repro.core.query import exact_dists, knn_query, query_hilbert_keys
+from repro.core.query import exact_dists, knn_query, query_hilbert_keys, smallest_per_query
 from repro.dist import euclidean
 from repro.metrics import map_at_k, recall_at_k
 from repro.synth_data import vectors_df
@@ -275,3 +275,15 @@ def test_out_of_domain_queries(tiny_index, tiny_xq, tiny_params):
         bruteforce_topk(X, outside, k=10),
         check_exact=True,
     )
+
+
+@pytest.mark.parametrize("kk", [1, 7, 40, 100])
+def test_smallest_per_query_equals_per_query_argpartition(kk):
+    """The exhaustive scans' per-batch cut picks, index for index, what a
+    per-query argpartition picks, ties included; kk > b keeps all b rows."""
+    scores = np.random.default_rng(0).integers(0, 3, size=(5, 40)).astype(float)
+    kb = min(kk, scores.shape[1])
+    qid, rows = smallest_per_query(scores, kk)
+    assert qid.tolist() == np.repeat(np.arange(5), kb).tolist()
+    want = [np.argpartition(s, kb - 1)[:kb] for s in scores]
+    assert rows.tolist() == np.concatenate(want).tolist()

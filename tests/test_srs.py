@@ -10,7 +10,7 @@ from repro.metrics import recall_at_k
 
 @pytest.fixture(scope="module")
 def srs(spark, tiny_df):
-    return build_srs(spark, tiny_df, m_proj=6, seed=0)
+    return build_srs(spark, tiny_df, seed=0)
 
 
 def test_index_is_tiny(srs, tiny_xq):
