@@ -62,11 +62,15 @@ def test_bench_assign_leaves_100k(benchmark, spark):
     rng = np.random.default_rng(0)
     n = 100_000
     pdf = pd.DataFrame(
-        {"id": np.arange(n, dtype=np.int64), "hkey": [f"{v:016x}" for v in rng.integers(0, 2**62, n)]}
+        {
+            "tree_id": np.zeros(n, dtype=np.int64),
+            "id": np.arange(n, dtype=np.int64),
+            "hkey": [f"{v:016x}" for v in rng.integers(0, 2**62, n)],
+        }
     )
     df = spark.createDataFrame(pdf).persist()
     df.count()
     out = benchmark.pedantic(
-        lambda: assign_leaves(df, "hkey", 63).count(), rounds=1, iterations=1
+        lambda: assign_leaves(df, 63).count(), rounds=1, iterations=1
     )
     assert out == n

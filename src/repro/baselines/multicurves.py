@@ -9,10 +9,12 @@ nearest-by-key entries per curve and re-ranks the union by exact distance.
 
 Trees and their union come from HD-Index's ``build_curve_trees`` at the
 Multicurves leaf order with ``vec`` as the leaf payload, and candidates from
-HD-Index's ``curve_candidates``, whose kernel scores each kept row with its
-exact distance to the query, since the vector sits in the leaf. The driver
-drops the (qid, id) duplicates across trees and keeps the top k; no base
-pass is needed.
+HD-Index's ``curve_candidates``, whose kernel keeps all alpha rows of each
+(tree, query) window with their exact distance to the query, since the
+vector sits in the leaf. The kernel holds one tree's rows and vectors at a
+time, n * nu * 8 bytes of payload per Python worker. The driver drops the
+(qid, id) duplicates across trees and keeps the top k; no base pass is
+needed.
 """
 from __future__ import annotations
 
@@ -23,7 +25,7 @@ import pandas as pd
 from pyspark.sql import DataFrame, SparkSession
 
 from repro.core.build import build_curve_trees
-from repro.core.params import HDIndexParams
+from repro.core.params import PAGE_SIZE, HDIndexParams
 from repro.core.query import check_batch, curve_candidates, empty_result, top_k
 from repro.dist import euclidean
 
@@ -32,7 +34,7 @@ __all__ = ["MulticurvesIndex", "mc_leaf_order", "build_multicurves", "knn_multic
 _LEAF_OVERHEAD = 17
 
 
-def mc_leaf_order(eta: int, omega: int, nu: int, page_size: int = 4096) -> int:
+def mc_leaf_order(eta: int, omega: int, nu: int, page_size: int = PAGE_SIZE) -> int:
     """Leaf order when the full nu-dim descriptor (8 B/dim) sits in the leaf.
 
     Same page layout as Eq. (4) but with 8*nu payload bytes instead of the
@@ -58,7 +60,7 @@ def build_multicurves(
 ) -> MulticurvesIndex:
     """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order;
     n is the slot count of a tree's fences, since every tree holds every id."""
-    order = mc_leaf_order(params.eta, params.omega, params.nu, params.page_size)
+    order = mc_leaf_order(params.eta, params.omega, params.nu)
     trees, hierarchies, leaves = build_curve_trees(spark, data, params, "vec", order)
     return MulticurvesIndex(params, trees, hierarchies, leaves, hierarchies[0].total_slots, order)
 
@@ -72,8 +74,8 @@ def knn_multicurves(
         return empty_result()
     b_q = index.leaves.sparkSession.sparkContext.broadcast(queries)
 
-    def score(qid, vec):
-        return {"dist": euclidean(vec, b_q.value[qid][None, :])}
+    def keep_all(qid, vec):
+        return np.arange(len(vec)), {"dist": euclidean(vec, b_q.value[qid][None, :])}
 
-    cands = curve_candidates(index, queries, alpha, "vec", score, ["dist"])
+    cands = curve_candidates(index, queries, alpha, "vec", keep_all, ["dist"])
     return top_k(cands[["qid", "id", "dist"]].drop_duplicates(["qid", "id"]), k)

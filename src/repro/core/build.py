@@ -17,13 +17,15 @@ Pipeline per the paper, in Spark:
    leaves of exactly Omega slots; each tree comes out as one key-ordered
    run in one partition. One ``rdbtree.leaf_fences`` collects the fences of
    every tree, folded into one driver-side ``FenceHierarchy`` per tree.
-   Each tree is then split off into its own cache or Parquet directory.
+   Each tree is then split off into its own cache or Parquet directory; a
+   Parquet tree is read back as one partition, whatever its file size.
    The Multicurves baseline builds its trees with the same code
    (``build_curve_trees``), storing vectors instead of ``rdist``;
 5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
    coalesced to the default parallelism — is the one table a query's
    candidate pass scans. It is a plan over the cached (or Parquet) trees,
-   not a further cache.
+   not a further cache, and every tree lies whole in one of its
+   partitions, which the query kernel needs.
 
 The returned :class:`HDIndex` holds the tree DataFrames (cached, and
 optionally persisted to Parquet — the disk-resident form), their union, the
@@ -51,11 +53,12 @@ from repro.core.params import HDIndexParams
 from repro.core.rdbtree import TREE_COL, FenceHierarchy, assign_leaves, leaf_fences
 
 __all__ = [
-    "HDIndex", "VectorStore", "build_hd_index", "build_curve_trees", "load_hd_index_trees",
-    "subspace_keys", "sample_vectors", "vector_store",
+    "HDIndex", "VectorStore", "build_hd_index", "build_curve_trees", "subspace_keys",
+    "sample_vectors", "vector_store",
 ]
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
+_REF_METHOD, _REF_F = "sss", 0.3  # reference selection: SSS with threshold f (Sec. 3.3)
 
 
 @dataclass(frozen=True)
@@ -142,9 +145,10 @@ def build_curve_trees(
     payload)`` rows, and one ``assign_leaves`` and one ``leaf_fences`` number
     and fence every tree. Each tree is then split off as ``(id, hkey,
     payload, leaf_id)``, cached in memory or, with ``parquet_dir``,
-    written to ``{parquet_dir}/tree_{i}`` and re-read from disk. The union
-    ``leaves`` is ``(tree_id, id, hkey, leaf_id, payload)`` coalesced to the
-    default parallelism, so one scan of it is one wave of tasks; it is not
+    written to ``{parquet_dir}/tree_{i}`` and re-read from disk as one
+    partition. The union ``leaves`` is ``(tree_id, id, hkey, leaf_id,
+    payload)`` coalesced to the default parallelism, so one scan of it is
+    one wave of tasks and every tree lies whole in one partition; it is not
     persisted itself and reads the cached trees or the Parquet files.
     """
     partitions = params.partitions
@@ -156,7 +160,7 @@ def build_curve_trees(
         return pd.Series(list(keys))
 
     rows = source.select(F.posexplode(hkeys_udf("vec")).alias(TREE_COL, "hkey"), "id", payload)
-    numbered = assign_leaves(rows, "hkey", order)
+    numbered = assign_leaves(rows, order)
     fences = leaf_fences(numbered)
 
     trees, hierarchies = [], []
@@ -167,8 +171,9 @@ def build_curve_trees(
         else:
             path = os.path.join(parquet_dir, f"tree_{i}")
             tree.write.mode("overwrite").parquet(path)
-            # The schema is known, so the read needs no inference job.
-            tree = spark.read.schema(tree.schema).parquet(path)
+            # The schema is known, so the read needs no inference job. One
+            # partition keeps the tree whole when its file spans several splits.
+            tree = spark.read.schema(tree.schema).parquet(path).coalesce(1)
         f = fences[fences[TREE_COL] == i].drop(columns=TREE_COL).reset_index(drop=True)
         hierarchies.append(FenceHierarchy(f, params.branching))
         trees.append(tree)
@@ -210,7 +215,7 @@ def build_hd_index(
     # --- reference objects (Sec. 3.3) -----------------------------------
     n = len(store.ids)
     sample = sample_vectors(data, n, _REF_SAMPLE_CAP, params.seed)
-    ref_idx = select(sample, params.m, params.ref_method, f=params.ref_f, seed=params.seed)
+    ref_idx = select(sample, params.m, _REF_METHOD, f=_REF_F, seed=params.seed)
     refs = sample[ref_idx].astype(np.float64)
 
     b_refs = sc.broadcast(refs)
@@ -236,10 +241,3 @@ def build_hd_index(
         store=store,
         n=n,
     )
-
-
-def load_hd_index_trees(spark: SparkSession, parquet_dir: str, tau: int) -> list[DataFrame]:
-    """Re-open the persisted tree DataFrames of a previously built index."""
-    return [
-        spark.read.parquet(os.path.join(parquet_dir, f"tree_{i}")) for i in range(tau)
-    ]

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["leaf_order", "internal_branching", "partition_dims", "HDIndexParams"]
+__all__ = ["PAGE_SIZE", "leaf_order", "internal_branching", "partition_dims", "HDIndexParams"]
 
 # Fixed byte-layout constants from Sec. 3.2: 4-byte stored distances, 8-byte
 # object pointer per entry; per-leaf overhead of two 8-byte sibling pointers
@@ -20,9 +20,10 @@ __all__ = ["leaf_order", "internal_branching", "partition_dims", "HDIndexParams"
 _DIST_BYTES = 4
 _PTR_BYTES = 8
 _LEAF_OVERHEAD = 2 * 8 + 1
+PAGE_SIZE = 4096  # B: the disk page, in bytes, that a leaf fills
 
 
-def leaf_order(eta: int, omega: int, m: int, page_size: int = 4096) -> int:
+def leaf_order(eta: int, omega: int, m: int, page_size: int = PAGE_SIZE) -> int:
     """RDB-tree leaf order Omega — the largest integer satisfying Eq. (4).
 
     (eta*(omega/8) + 4*m + 8) * Omega + 16 + 1 <= B.
@@ -41,7 +42,7 @@ def leaf_order(eta: int, omega: int, m: int, page_size: int = 4096) -> int:
     return order
 
 
-def internal_branching(eta: int, omega: int, page_size: int = 4096) -> int:
+def internal_branching(eta: int, omega: int, page_size: int = PAGE_SIZE) -> int:
     """Branching factor theta of RDB-tree internal nodes.
 
     Internal nodes hold (separator key, child pointer) pairs: eta*omega/8
@@ -84,12 +85,13 @@ def partition_dims(nu: int, tau: int, *, scheme: str = "contiguous", seed: int =
 
 @dataclass(frozen=True)
 class HDIndexParams:
-    """All knobs of HD-Index construction and querying.
+    """The knobs of HD-Index construction and querying that callers set.
 
     Defaults follow the paper's recommendations (Sec. 5.2): m=10, tau=8,
-    alpha=4096, gamma=alpha/4, triangular inequality only. ``beta`` is only
-    read by ``knn_query(filters="both")`` (triangular then Ptolemaic) — the
-    recommended combined setting is alpha/beta=1, beta/gamma=4 (Sec. 5.2.5).
+    alpha=4096, gamma=alpha/4, triangular inequality only, on B = 4096-byte
+    pages (``PAGE_SIZE``). ``knn_query(filters="both")`` takes beta as an
+    argument, by default alpha: the recommended combined setting is
+    alpha/beta=1, beta/gamma=4 (Sec. 5.2.5).
     """
 
     nu: int
@@ -98,12 +100,8 @@ class HDIndexParams:
     tau: int = 8
     omega: int = 8
     m: int = 10
-    page_size: int = 4096
     alpha: int = 4096
-    beta: int | None = None  # filters="both" only; defaults to alpha
     gamma: int | None = None  # defaults to alpha // 4
-    ref_method: str = "sss"
-    ref_f: float = 0.3
     partition_scheme: str = "contiguous"
     seed: int = 0
     partitions: tuple = field(init=False)
@@ -124,17 +122,13 @@ class HDIndexParams:
         return max(len(g) for g in self.partitions)
 
     @property
-    def effective_beta(self) -> int:
-        return self.beta if self.beta is not None else self.alpha
-
-    @property
     def effective_gamma(self) -> int:
         return self.gamma if self.gamma is not None else max(1, self.alpha // 4)
 
     @property
     def leaf_order(self) -> int:
-        return leaf_order(self.eta, self.omega, self.m, self.page_size)
+        return leaf_order(self.eta, self.omega, self.m)
 
     @property
     def branching(self) -> int:
-        return internal_branching(self.eta, self.omega, self.page_size)
+        return internal_branching(self.eta, self.omega)

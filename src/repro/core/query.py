@@ -7,20 +7,19 @@ For a batch of queries the three phases of the paper map onto:
    the leaf fences to a centre leaf and widens to the smallest leaf window
    guaranteed to contain the alpha nearest-by-key entries. The
    ``(tree_id, qid, lo_leaf, hi_leaf)`` windows and the query keys are
-   broadcast, and one ``mapInPandas`` pass over the index's tree union
-   ``leaves`` keeps, for every window an Arrow batch overlaps, the batch's
+   broadcast to one ``mapInPandas`` pass over the index's tree union
+   ``leaves``, in which every tree lies whole in one partition. The kernel
+   gathers one tree's rows at a time and cuts each of its windows once: the
    alpha rows nearest by exact ``|key - q|`` (int64 limbs of 60 bits, ties
-   by id), scored next to the data. The driver merges the batch-local sets
-   into the exact alpha nearest per (tree, query). No join and no shuffle,
-   but the pass reads every row of every tree: the windows bound what is
-   kept, not what is scanned, so this is not yet the paper's
-   O(log n + alpha/Omega) page reads.
-2. **filter funnel** — the kernel scores each kept row with the triangular
-   bound (Eq. 5) and, in ``both`` mode, the Ptolemaic bound (Eq. 6), using
-   only the leaf-resident reference distances, never the vectors, exactly
-   the paper's I/O argument. The driver then keeps per (tree, query) the
-   gamma rows smallest by the triangular bound (``tri``), or beta by it and
-   then gamma by the Ptolemaic bound (``both``), ties in key order.
+   by id). No join and no shuffle, but the pass reads every row of every
+   tree: the windows bound what is kept, not what is scanned, so this is
+   not yet the paper's O(log n + alpha/Omega) page reads.
+2. **filter funnel** — in the same kernel, each window's alpha rows are cut
+   to gamma by the triangular bound (Eq. 5) (``tri``), or to beta by it and
+   then the beta survivors to gamma by the Ptolemaic bound (Eq. 6)
+   (``both``), ties in key order. The bounds read only the leaf-resident
+   reference distances, never the vectors, exactly the paper's I/O
+   argument. Only the ``(tree_id, qid, id)`` survivors reach the driver.
 3. **exact re-rank** (``exact_dists``) — the per-tree gamma-sets (at most
    tau*gamma narrow ``(qid, id)`` rows per query) are deduplicated on the
    driver, giving kappa candidates per query. Each candidate's vector is
@@ -187,9 +186,9 @@ def key_dist(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     return d
 
 
-def key_order(limbs: list, ids: np.ndarray, group: np.ndarray | None = None) -> np.ndarray:
-    """Exact row order by (``group``, key distance, id); the distance is given
-    as its limb columns, most significant first (:func:`key_dist`).
+def key_order(limbs: list, ids: np.ndarray) -> np.ndarray:
+    """Exact row order by (key distance, id); the distance is given as its
+    limb columns, most significant first (:func:`key_dist`).
 
     One sort runs on a float prefix of each distance: its leading nonzero
     limb at that limb's binary scale, then, when that limb is exact in a
@@ -211,109 +210,113 @@ def key_order(limbs: list, ids: np.ndarray, group: np.ndarray | None = None) -> 
             pending = pending[v == 0]
             if len(pending) == 0:
                 break
-    major = [] if group is None else [group]
-    order = np.lexsort([lo, hi, *major])
-    tie = np.ones(max(len(order) - 1, 0), dtype=bool)
-    for key in [hi, lo, *major]:
-        k = key[order]
-        tie &= k[1:] == k[:-1]
+    order = np.lexsort([lo, hi])
+    h, l = hi[order], lo[order]
+    tie = (h[1:] == h[:-1]) & (l[1:] == l[:-1])
     if tie.any():
-        # Sorting the tied rows by (group, limbs, id) orders each run exactly
-        # and keeps the runs, which the prefix already ordered, in place.
+        # Sorting the tied rows by (limbs, id) orders each run exactly and
+        # keeps the runs, which the prefix already ordered, in place.
         in_run = np.r_[tie, False] | np.r_[False, tie]
         run = order[in_run]
-        exact = [ids[run], *[limb[run] for limb in reversed(limbs)], *[m[run] for m in major]]
-        order[in_run] = run[np.lexsort(exact)]
+        order[in_run] = run[np.lexsort([ids[run], *[limb[run] for limb in reversed(limbs)]])]
     return order
 
 
-def _group_of(df: pd.DataFrame) -> np.ndarray:
-    qid = df["qid"].to_numpy()
-    return df["tree_id"].to_numpy() * (qid.max() + 1) + qid
+def _tree_runs(batches):
+    """``(tree_id, frame)`` for each run of one tree's rows in a stream of
+    Arrow batches, the run's batches gathered into one frame."""
+    tree, parts = None, []
+    for pdf in batches:
+        for t, part in pdf.groupby("tree_id", sort=False):
+            if t != tree and parts:
+                yield tree, pd.concat(parts, ignore_index=True)
+                parts = []
+            tree = t
+            parts.append(part)
+    if parts:
+        yield tree, pd.concat(parts, ignore_index=True)
 
 
-def _head_per_group(df: pd.DataFrame, order: np.ndarray, n: int) -> pd.DataFrame:
-    """The rows of ``df`` in ``order``, which must sort them by (tree_id, qid)
-    first, keeping the first ``n`` of every (tree_id, qid) group."""
-    group = _group_of(df)[order]
-    starts = np.flatnonzero(np.r_[True, group[1:] != group[:-1]])
-    rank = np.arange(len(order)) - np.repeat(starts, np.diff(np.r_[starts, len(order)]))
-    return df.iloc[order[rank < n]].reset_index(drop=True)
-
-
-def _head_by(df: pd.DataFrame, col: str, n: int) -> pd.DataFrame:
-    """The ``n`` rows smallest by ``col`` per (tree_id, qid), ties kept in
-    their order in ``df``."""
-    return _head_per_group(df, np.lexsort([df[col].to_numpy(), _group_of(df)]), n)
-
-
-def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, score, score_cols):
-    """The alpha entries nearest by Hilbert key, per (tree, query).
+def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, finish, cols=()):
+    """The rows each tree keeps for each query, cut next to the data.
 
     The candidate stage shared by HD-Index and Multicurves. ``index`` has
     ``params``, ``hierarchies`` and the tree union ``leaves``; ``queries``
     is a batch that passed :func:`check_batch`. Each (tree, query) pair gets
-    its leaf window from the fence hierarchy, and the windows are broadcast.
-    One ``mapInPandas`` pass over ``leaves`` keeps, per window and Arrow
-    batch, the batch's alpha rows nearest by (exact ``|key - q|``, id) and
-    scores them next to the data: ``score(qid, P)`` maps their ``payload``
-    rows, a (rows, width) matrix, to a dict with one float array per name in
-    ``score_cols``. The driver merges the batch-local sets.
+    its leaf window from the fence hierarchy, and the windows are broadcast
+    to one ``mapInPandas`` pass over ``leaves``. Each tree must lie whole in
+    one partition of ``leaves``: the kernel gathers a tree's Arrow batches
+    into one frame and raises, naming the tree, when one of its windows
+    does not hold the rows its fences count. Per window it takes the alpha
+    rows nearest by (exact ``|key - q|``, id) and calls ``finish(qid, P)``
+    on their ``payload`` rows P, a (rows, width) matrix in that order;
+    ``finish`` returns the positions of the rows to keep and a dict with one
+    float array per name in ``cols``, aligned with those positions. Keys and
+    payload are decoded only for rows inside some window.
 
-    Returns a pandas frame ``(tree_id, qid, id, *score_cols)`` holding
-    exactly the alpha rows of each tree nearest to each query by (key
-    distance, id) — every row of a smaller tree — sorted by tree_id, qid and
-    then that order.
+    Returns a pandas frame ``(tree_id, qid, id, *cols)`` of the kept rows,
+    sorted by tree_id and qid, each (tree, query) in the order ``finish``
+    kept them.
     """
     qkeys_per_tree = query_hilbert_keys(index, queries)
     windows = np.array(
         [
-            (t, qid, *hier.window(hier.lookup(qk), alpha))
+            (t, qid, lo, hi, hier.cum[hi + 1] - hier.cum[lo])
             for t, (hier, qkeys) in enumerate(zip(index.hierarchies, qkeys_per_tree))
             for qid, qk in enumerate(qkeys)
+            for lo, hi in [hier.window(hier.lookup(qk), alpha)]
         ],
         dtype=np.int64,
-    )  # (tree_id, qid, lo_leaf, hi_leaf)
+    )  # (tree_id, qid, lo_leaf, hi_leaf, rows), sorted by tree_id
     qlimbs = key_limbs(np.concatenate(qkeys_per_tree))
-    kd_cols = [f"kd{i}" for i in range(qlimbs.shape[1])]
-    stride = max(h.n_leaves for h in index.hierarchies)
     b = index.leaves.sparkSession.sparkContext.broadcast((windows, qlimbs))
     schema = StructType(
-        [StructField(c, LongType()) for c in ["tree_id", "qid", "id", *kd_cols]]
-        + [StructField(c, DoubleType()) for c in score_cols]
+        [StructField(c, LongType()) for c in ["tree_id", "qid", "id"]]
+        + [StructField(c, DoubleType()) for c in cols]
     )
 
-    def nearest_by_key(batches):
+    def cut(batches):
         win, qk = b.value
-        first, last = win[:, 0] * stride + win[:, 2], win[:, 0] * stride + win[:, 3]
-        for pdf in batches:
-            # Rows sorted by (tree, leaf); each window is then one slice.
-            pos = pdf["tree_id"].to_numpy() * stride + pdf["leaf_id"].to_numpy()
-            order = np.argsort(pos, kind="stable")
-            lo = np.searchsorted(pos[order], first, "left")
-            hi = np.searchsorted(pos[order], last, "right")
-            hit = np.flatnonzero(hi > lo)
-            if len(hit) == 0:
-                continue
-            keys = key_limbs(pdf["hkey"].to_numpy())
-            ids = pdf["id"].to_numpy()
-            P = np.vstack(pdf[payload].to_numpy())
-            parts = []
-            for w in hit:
-                rows = order[lo[w] : hi[w]]
-                kd = key_dist(keys[rows], qk[w])
-                sel = key_order(list(kd.T), ids[rows])[:alpha]
-                rows, kd = rows[sel], kd[sel]
-                cols = {"tree_id": np.full(len(rows), win[w, 0]),
-                        "qid": np.full(len(rows), win[w, 1]), "id": ids[rows]}
-                cols.update(zip(kd_cols, kd.T))
-                cols.update(score(int(win[w, 1]), P[rows]))
-                parts.append(pd.DataFrame(cols))
-            yield pd.concat(parts, ignore_index=True)
+        for t, pdf in _tree_runs(batches):
+            first, last = np.searchsorted(win[:, 0], [t, t + 1])
+            qids, w_lo, w_hi, w_rows = win[first:last, 1:].T
+            leaf = pdf["leaf_id"].to_numpy()
+            order = np.argsort(leaf, kind="stable")
+            lo = np.searchsorted(leaf[order], w_lo, "left")
+            hi = np.searchsorted(leaf[order], w_hi, "right")
+            short = np.flatnonzero(hi - lo != w_rows)
+            if len(short):
+                w = short[0]
+                raise RuntimeError(
+                    f"tree {t}: the window of query {qids[w]} holds {hi[w] - lo[w]} of its "
+                    f"{w_rows[w]} rows in this partition of leaves; each tree must lie "
+                    "whole in one partition"
+                )
+            # Decode only the rows inside some window, kept in leaf order.
+            n = len(order) + 1
+            inside = np.cumsum(np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n))[:-1] > 0
+            slot = np.cumsum(inside) - 1  # leaf-order position -> decoded row
+            rows = order[inside]
+            keys = key_limbs(pdf["hkey"].to_numpy()[rows])
+            ids = pdf["id"].to_numpy()[rows]
+            P = np.vstack(pdf[payload].to_numpy()[rows])
+            kept, kept_qid, extra = [], [], {c: [] for c in cols}
+            for w, qid in enumerate(qids):
+                r = slot[lo[w] : hi[w]]
+                r = r[key_order(list(key_dist(keys[r], qk[first + w]).T), ids[r])[:alpha]]
+                keep, scores = finish(int(qid), P[r])
+                kept.append(r[keep])
+                kept_qid.append(np.full(len(keep), qid))
+                for c in cols:
+                    extra[c].append(scores[c])
+            kept = np.concatenate(kept)
+            yield pd.DataFrame(
+                {"tree_id": np.full(len(kept), t), "qid": np.concatenate(kept_qid),
+                 "id": ids[kept], **{c: np.concatenate(v) for c, v in extra.items()}}
+            )
 
-    got = index.leaves.mapInPandas(nearest_by_key, schema).toPandas()
-    order = key_order([got[c].to_numpy() for c in kd_cols], got["id"].to_numpy(), _group_of(got))
-    return _head_per_group(got, order, alpha).drop(columns=kd_cols)
+    got = index.leaves.mapInPandas(cut, schema).toPandas()
+    return got.sort_values(["tree_id", "qid"], kind="stable", ignore_index=True)
 
 
 def knn_query(
@@ -330,7 +333,8 @@ def knn_query(
     """Answer kANN for a batch of queries (Algo 2).
 
     ``filters``: 'tri' (recommended — triangular only, beta unused),
-    'both' (triangular to beta then Ptolemaic to gamma), or
+    'both' (triangular to beta, which defaults to alpha, then Ptolemaic to
+    gamma), or
     'none' (all alpha candidates go to the exact phase; with alpha >= n this
     makes the query exact, used as a correctness oracle in tests).
     The funnel sizes must satisfy gamma >= 1, gamma <= alpha in 'tri' mode
@@ -348,7 +352,7 @@ def knn_query(
     """
     p = index.params
     alpha = alpha if alpha is not None else p.alpha
-    beta = beta if beta is not None else p.effective_beta
+    beta = beta if beta is not None else alpha
     gamma = gamma if gamma is not None else p.effective_gamma
     if filters not in ("tri", "both", "none"):
         raise ValueError(f"unknown filter mode {filters!r}")
@@ -373,23 +377,23 @@ def knn_query(
 
     b_qr = sc.broadcast(euclidean(queries[:, None], index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
-    score_cols = {"tri": ["tri"], "both": ["tri", "pto"], "none": []}[filters]
 
-    def score(qid, rdist):
+    def funnel(qid, rdist):
+        """Algo 2's cut of one (tree, query)'s alpha rows, given in key
+        order: gamma smallest by Eq. 5, or beta by it and then gamma of
+        those by Eq. 6; stable sorts keep ties in the order given."""
+        if filters == "none":
+            return np.arange(len(rdist)), {}
         qr = b_qr.value[qid]
-        out = {}
-        if "tri" in score_cols:
-            out["tri"] = triangular_bounds(qr, rdist)
-        if "pto" in score_cols:
-            out["pto"] = ptolemaic_bounds(qr, rdist, b_rr.value)
-        return out
+        keep = np.argsort(triangular_bounds(qr, rdist), kind="stable")
+        if filters == "tri":
+            return keep[:gamma], {}
+        keep = keep[:beta]
+        pto = ptolemaic_bounds(qr, rdist[keep], b_rr.value)
+        return keep[np.argsort(pto, kind="stable")[:gamma]], {}
 
-    # --- filter funnel per (tree, query), on the alpha rows in key order ----
-    cands = curve_candidates(index, queries, alpha, "rdist", score, score_cols)
-    if filters == "tri":
-        cands = _head_by(cands, "tri", gamma)
-    elif filters == "both":
-        cands = _head_by(_head_by(cands, "tri", beta), "pto", gamma)
+    # --- alpha nearest by key and the filter funnel, per (tree, query) ------
+    cands = curve_candidates(index, queries, alpha, "rdist", funnel)
     pairs = cands[["qid", "id"]].drop_duplicates()
 
     # --- exact re-rank over the candidate union C (kappa <= tau*gamma) ----

@@ -9,9 +9,10 @@ keeps that geometry:
   leaf_id)``, where ``leaf_id`` is the row's rank in ``(hkey, id)`` order
   divided by Omega: one ``row_number`` window per tree. Each tree is one
   key-ordered run in one Spark partition, so the sort runs at most
-  min(tau, default parallelism) tasks at a time. Queries do not yet exploit
-  the order: the leaf windows are broadcast to one pass over the union of
-  the trees, which reads every row of every tree, not the paper's
+  min(tau, default parallelism) tasks at a time. Queries rely on that
+  layout, since their kernel cuts each window from one whole tree, but not
+  yet on the order: the leaf windows are broadcast to one pass over the
+  union of the trees, which reads every row of every tree, not the paper's
   O(log n + alpha/Omega) page reads;
 * the **internal levels** are the per-leaf key fences (min/max key, slot
   count) held on the driver (`FenceHierarchy`). n/Omega fences for n in the
@@ -32,25 +33,25 @@ from pyspark.sql import DataFrame, functions as F
 
 __all__ = ["assign_leaves", "leaf_fences", "FenceHierarchy", "TREE_COL"]
 
-TREE_COL = "tree_id"  # present when one DataFrame holds the rows of several trees
+TREE_COL = "tree_id"  # the tree a row belongs to
 
 
-def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
-    """Bucket rows into RDB-tree leaves of exactly ``leaf_order`` slots.
+def assign_leaves(df: DataFrame, leaf_order: int) -> DataFrame:
+    """Bucket every tree's rows into RDB-tree leaves of exactly ``leaf_order``
+    slots.
 
-    Adds ``leaf_id``: the row's 0-based rank in ``(key_col, id)`` order,
-    divided by ``leaf_order``. When ``df`` has a ``tree_id`` column the rank
-    restarts in every tree, so each tree is bucketed on its own. The rank is
-    one ``row_number`` window per tree, coalesced to the default parallelism:
-    every tree comes back as one key-ordered run in one partition.
+    ``df`` holds ``tree_id``, ``id`` and ``hkey``. Adds ``leaf_id``: the
+    row's 0-based rank in ``(hkey, id)`` order within its tree, divided by
+    ``leaf_order``. The rank is one ``row_number`` window per tree,
+    coalesced to the default parallelism: every tree comes back as one
+    key-ordered run in one partition.
 
     The result comes back persisted and materialised; the caller owns that
     cache (``unpersist`` it once the tree is written elsewhere).
     """
     if leaf_order < 1:
         raise ValueError("leaf_order must be >= 1")
-    by = f"PARTITION BY {TREE_COL} " if TREE_COL in df.columns else ""
-    rank = f"row_number() OVER ({by}ORDER BY {key_col}, id) - 1"
+    rank = f"row_number() OVER (PARTITION BY {TREE_COL} ORDER BY hkey, id) - 1"
     out = (
         df.selectExpr("*", f"({rank}) div {leaf_order} AS leaf_id")
         .coalesce(df.sparkSession.sparkContext.defaultParallelism)
@@ -60,26 +61,25 @@ def assign_leaves(df: DataFrame, key_col: str, leaf_order: int) -> DataFrame:
     return out
 
 
-def leaf_fences(tree_df: DataFrame, key_col: str = "hkey") -> pd.DataFrame:
+def leaf_fences(tree_df: DataFrame) -> pd.DataFrame:
     """Collect per-leaf (min key, max key, slot count) fences to the driver.
 
     This is the content of the level-1 internal nodes of the RDB-tree; it is
-    O(n / Omega) rows and forms the base of :class:`FenceHierarchy`. When
-    ``tree_df`` has a ``tree_id`` column, one pass gives the fences of every
-    tree, ordered by (tree_id, leaf_id) with ``tree_id`` as first column.
+    O(n / Omega) rows and forms the base of :class:`FenceHierarchy`. One
+    pass gives the fences of every tree in ``tree_df``, ordered by
+    (tree_id, leaf_id) with ``tree_id`` as first column.
     """
-    by = [TREE_COL] if TREE_COL in tree_df.columns else []
     pdf = (
-        tree_df.groupBy(*by, "leaf_id")
+        tree_df.groupBy(TREE_COL, "leaf_id")
         .agg(
-            F.min(key_col).alias("min_key"),
-            F.max(key_col).alias("max_key"),
+            F.min("hkey").alias("min_key"),
+            F.max("hkey").alias("max_key"),
             F.count("*").alias("count"),
         )
         .toPandas()
     )
     # Sorted on the driver: a Spark orderBy would add a range-sampling job.
-    return pdf.sort_values([*by, "leaf_id"], ignore_index=True)
+    return pdf.sort_values([TREE_COL, "leaf_id"], ignore_index=True)
 
 
 class FenceHierarchy:

@@ -7,7 +7,7 @@ to show the 13x-21x density advantage the paper argues for in Sec. 3.2.
 from __future__ import annotations
 
 from repro.baselines.multicurves import mc_leaf_order
-from repro.core.params import leaf_order
+from repro.core.params import PAGE_SIZE, leaf_order
 
 # (dataset, nu, omega, eta, m, paper Omega)
 ROWS = [
@@ -20,7 +20,7 @@ ROWS = [
 ]
 
 
-def compute_table3(page_size: int = 4096) -> list[dict]:
+def compute_table3(page_size: int = PAGE_SIZE) -> list[dict]:
     out = []
     for name, nu, omega, eta, m, paper in ROWS:
         out.append(

@@ -1,5 +1,6 @@
-"""Shared fixtures for the test suite: tiny clustered datasets and a built
-HD-Index, session-scoped so the Spark-side build cost is paid once."""
+"""Shared fixtures for the test suite: tiny clustered datasets, a built
+HD-Index and the baseline indexes over them, session-scoped so each
+Spark-side build is paid once."""
 import itertools
 
 import numpy as np
@@ -8,7 +9,12 @@ import pytest
 from repro.synth_data import make_queries, make_vectors, vectors_df
 from repro.core.params import HDIndexParams
 from repro.core.build import build_hd_index
+from repro.baselines.c2lsh import build_c2lsh
+from repro.baselines.idistance import build_idistance
 from repro.baselines.multicurves import build_multicurves
+from repro.baselines.opq import build_opq
+from repro.baselines.qalsh import build_qalsh
+from repro.baselines.srs import build_srs
 
 
 TINY = dict(n=600, nu=16, lo=0.0, hi=1.0)
@@ -63,6 +69,33 @@ def twice_index(spark, twice_x, tiny_params):
 @pytest.fixture(scope="session")
 def tiny_mc(spark, tiny_df, tiny_params):
     return build_multicurves(spark, tiny_df, tiny_params)
+
+
+# The baseline indexes on the tiny vectors, each built once for every test
+# module that queries it.
+@pytest.fixture(scope="session")
+def tiny_c2lsh(spark, tiny_df):
+    return build_c2lsh(spark, tiny_df, m=16, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tiny_qalsh(spark, tiny_df):
+    return build_qalsh(spark, tiny_df, m=16, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tiny_srs(spark, tiny_df):
+    return build_srs(spark, tiny_df, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tiny_opq(spark, tiny_df):
+    return build_opq(spark, tiny_df, M=2, ksub=64, opq_iters=3, seed=0)
+
+
+@pytest.fixture(scope="session")
+def tiny_idist(spark, tiny_df):
+    return build_idistance(spark, tiny_df, n_centers=8, seed=0)
 
 
 @pytest.fixture(scope="session")

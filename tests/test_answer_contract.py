@@ -11,33 +11,35 @@ import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.c2lsh import build_c2lsh, knn_c2lsh
+from repro.baselines.c2lsh import knn_c2lsh
 from repro.baselines.hnsw import HNSW, knn_hnsw
-from repro.baselines.idistance import build_idistance, knn_idistance
+from repro.baselines.idistance import knn_idistance
 from repro.baselines.linear_scan import knn_linear_scan
 from repro.baselines.multicurves import knn_multicurves
-from repro.baselines.opq import build_opq, knn_opq
-from repro.baselines.qalsh import build_qalsh, knn_qalsh
-from repro.baselines.srs import build_srs, knn_srs
+from repro.baselines.opq import knn_opq
+from repro.baselines.qalsh import knn_qalsh
+from repro.baselines.srs import knn_srs
 from repro.core.query import empty_result, knn_query
 
 K = 10
 
 
 @pytest.fixture(scope="module")
-def methods(spark, tiny_df, tiny_xq, tiny_index, tiny_mc):
+def methods(
+    tiny_df, tiny_xq, tiny_index, tiny_mc, tiny_c2lsh, tiny_qalsh, tiny_srs, tiny_opq, tiny_idist
+):
     """method name -> its query function ``(queries, k) -> answer``."""
     X, _ = tiny_xq
     return {
         "hdindex": partial(knn_query, tiny_index),
         "multicurves": partial(knn_multicurves, tiny_mc, alpha=64),
         "linear": partial(knn_linear_scan, tiny_df),
-        "c2lsh": partial(knn_c2lsh, build_c2lsh(spark, tiny_df, m=16, seed=0)),
-        "qalsh": partial(knn_qalsh, build_qalsh(spark, tiny_df, m=16, seed=0)),
-        "srs": partial(knn_srs, build_srs(spark, tiny_df)),
-        "opq": partial(knn_opq, build_opq(spark, tiny_df, M=2, ksub=64, opq_iters=3)),
+        "c2lsh": partial(knn_c2lsh, tiny_c2lsh),
+        "qalsh": partial(knn_qalsh, tiny_qalsh),
+        "srs": partial(knn_srs, tiny_srs),
+        "opq": partial(knn_opq, tiny_opq),
         "hnsw": partial(knn_hnsw, HNSW(X)),
-        "idistance": partial(knn_idistance, build_idistance(spark, tiny_df, n_centers=8)),
+        "idistance": partial(knn_idistance, tiny_idist),
     }
 
 

@@ -6,7 +6,7 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.build import build_hd_index, load_hd_index_trees
+from repro.core.build import build_hd_index
 from repro.core.params import HDIndexParams
 from repro.core.query import knn_query
 from repro.hilbert.curve import hilbert_keys, key_hex_width, quantize
@@ -111,8 +111,7 @@ def test_parquet_roundtrip(spark, tmp_path):
         b = disk.trees[t].orderBy("id").toPandas()
         assert (a["hkey"].values == b["hkey"].values).all()
         assert (a["leaf_id"].values == b["leaf_id"].values).all()
-    reloaded = load_hd_index_trees(spark, str(tmp_path / "idx"), p.tau)
-    assert reloaded[0].count() == 300
+    assert disk.trees[0].count() == 300
     assert isinstance(disk.store.vecs, np.memmap)
     assert os.path.samefile(disk.store.vecs.filename, tmp_path / "idx" / "vectors.npy")
     assert not isinstance(mem.store.vecs, np.memmap)
@@ -126,6 +125,40 @@ def test_parquet_roundtrip(spark, tmp_path):
             knn_query(mem, Q, k=10, filters=filters),
             check_exact=True,
         )
+
+
+def test_parquet_trees_over_many_row_groups(spark, tmp_path):
+    """Trees written in 64 KiB row groups and read in 64 KiB splits span
+    several splits each, which a plain read would spread over partitions of
+    ``leaves``. The disk build reads each tree back as one partition, so it
+    answers exactly as the in-memory build does."""
+    X = make_vectors(n=4000, nu=12, lo=0, hi=1, n_clusters=6, seed=8)
+    df = vectors_df(spark, X)
+    p = HDIndexParams(nu=12, domain_lo=0, domain_hi=1, tau=3, omega=4, m=5, alpha=200, gamma=50)
+    mem = build_hd_index(spark, df, p)
+    Q = X[:6] + 0.01
+    hadoop = spark.sparkContext._jsc.hadoopConfiguration()
+    block = hadoop.get("parquet.block.size")
+    split = spark.conf.get("spark.sql.files.maxPartitionBytes")
+    hadoop.setInt("parquet.block.size", 64 * 1024)
+    spark.conf.set("spark.sql.files.maxPartitionBytes", str(64 * 1024))
+    try:
+        disk = build_hd_index(spark, df, p, parquet_dir=str(tmp_path / "idx"))
+        for t in range(p.tau):
+            plain = spark.read.parquet(str(tmp_path / "idx" / f"tree_{t}"))
+            assert plain.rdd.getNumPartitions() > 1
+        for filters in ("tri", "both", "none"):
+            pd.testing.assert_frame_equal(
+                knn_query(disk, Q, k=10, filters=filters),
+                knn_query(mem, Q, k=10, filters=filters),
+                check_exact=True,
+            )
+    finally:
+        if block is None:
+            hadoop.unset("parquet.block.size")
+        else:
+            hadoop.set("parquet.block.size", block)
+        spark.conf.set("spark.sql.files.maxPartitionBytes", split)
 
 
 def test_build_deterministic_in_seed(spark):

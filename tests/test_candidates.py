@@ -1,21 +1,24 @@
 """The curve-window candidate primitive shared by HD-Index and Multicurves:
 every (tree, query) pair keeps exactly the alpha entries nearest by
-(|key - q|, id), whatever the Arrow batches the scan is cut into."""
+(|key - q|, id), whatever the Arrow batches the scan is cut into, and a
+tree that does not lie whole in one partition is an error."""
+import dataclasses
 import random
 
 import numpy as np
 import pandas as pd
 import pytest
 
-from repro.baselines.idistance import build_idistance, knn_idistance
+from repro.baselines.idistance import knn_idistance
 from repro.baselines.multicurves import knn_multicurves
+from repro.core import query
 from repro.core.query import (
     curve_candidates, key_dist, key_limbs, key_order, knn_query, query_hilbert_keys,
 )
 
 
-def _no_scores(qid, payload_rows):
-    return {}
+def _keep_all(qid, payload_rows):
+    return np.arange(len(payload_rows)), {}
 
 
 def _limbs_value(row) -> int:
@@ -39,7 +42,7 @@ def test_alpha_window_keeps_nearest_keys(request, tiny_xq, tiny_params, which, p
     _, Q = tiny_xq
     lo, hi = tiny_params.domain_lo, tiny_params.domain_hi
     queries = np.vstack([Q[:3], np.full(tiny_params.nu, lo), np.full(tiny_params.nu, hi)])
-    got = curve_candidates(index, queries, alpha, payload, _no_scores, [])
+    got = curve_candidates(index, queries, alpha, payload, _keep_all)
     assert list(got.columns) == ["tree_id", "qid", "id"]
     qkeys = query_hilbert_keys(index, queries)
     straddles = 0
@@ -74,9 +77,9 @@ def test_key_dist_is_exact(width):
 
 @pytest.mark.parametrize("width", [1, 16, 45, 192, 300])
 def test_key_order_is_exact(width):
-    """key_order equals a sort by (group, big-int |k - q|, id), with most keys
-    a few low digits away from each other so that their float prefixes tie,
-    and at 300 hex digits, where the prefixes overflow to inf."""
+    """key_order equals a sort by (big-int |k - q|, id), with most keys a few
+    low digits away from each other so that their float prefixes tie, and at
+    300 hex digits, where the prefixes overflow to inf."""
     rng = random.Random(width)
     near = "".join(rng.choice("0123456789abcdef") for _ in range(width))
     keys = []
@@ -84,23 +87,19 @@ def test_key_order_is_exact(width):
         cut = rng.randint(max(0, width - 3), width) if rng.random() < 0.7 else 0
         keys.append(near[:cut] + "".join(rng.choice("0123456789abcdef") for _ in range(width - cut)))
     ids = np.array(rng.sample(range(10**6), len(keys)))
-    group = np.array([rng.randint(0, 2) for _ in keys])
     for q in [near, keys[3], "f" * width]:
         limbs = list(key_dist(key_limbs(keys), key_limbs([q])[0]).T)
         exact = [abs(int(k, 16) - int(q, 16)) for k in keys]
-        want = sorted(range(len(keys)), key=lambda i: (group[i], exact[i], ids[i]))
-        assert key_order(limbs, ids, group).tolist() == want
         want = sorted(range(len(keys)), key=lambda i: (exact[i], ids[i]))
         assert key_order(limbs, ids).tolist() == want
 
 
-def test_answers_do_not_depend_on_arrow_batches(spark, tiny_df, tiny_index, tiny_mc, tiny_xq):
+def test_answers_do_not_depend_on_arrow_batches(spark, tiny_index, tiny_mc, tiny_xq, tiny_idist):
     """With 7-row Arrow batches every window spans many batches, and
-    iDistance's chunk and batch edges fall everywhere; the driver's merge
-    must still give the answers of the default batch size."""
+    iDistance's chunk and batch edges fall everywhere; the answers must
+    still be those of the default batch size."""
     X, Q = tiny_xq
     queries = np.vstack([Q, X[[5, 123]]])
-    idist = build_idistance(spark, tiny_df, n_centers=8)
 
     def answers():
         return [
@@ -108,7 +107,7 @@ def test_answers_do_not_depend_on_arrow_batches(spark, tiny_df, tiny_index, tiny
             knn_query(tiny_index, queries, k=10, alpha=37, beta=20, gamma=9, filters="both"),
             knn_query(tiny_index, queries, k=10, alpha=37, filters="none"),
             knn_multicurves(tiny_mc, queries, k=10, alpha=37),
-            knn_idistance(idist, queries, k=3),
+            knn_idistance(tiny_idist, queries, k=3),
         ]
 
     default = answers()
@@ -121,3 +120,32 @@ def test_answers_do_not_depend_on_arrow_batches(spark, tiny_df, tiny_index, tiny
         spark.conf.set(key, prev)
     for a, b in zip(default, small):
         pd.testing.assert_frame_equal(a, b, check_exact=True)
+
+
+def test_tri_keeps_at_most_gamma_per_tree_and_query(tiny_index, tiny_xq, monkeypatch):
+    """In ``tri`` mode the kernel returns only ``(tree_id, qid, id)``
+    survivors: gamma per (tree, query), as every tiny window holds alpha
+    rows."""
+    _, Q = tiny_xq
+    seen = []
+
+    def spy(*args, **kwargs):
+        seen.append(curve_candidates(*args, **kwargs))
+        return seen[-1]
+
+    monkeypatch.setattr(query, "curve_candidates", spy)
+    knn_query(tiny_index, Q, k=5, alpha=37, gamma=9, filters="tri")
+    (got,) = seen
+    assert list(got.columns) == ["tree_id", "qid", "id"]
+    sizes = got.groupby(["tree_id", "qid"]).size()
+    assert len(sizes) == tiny_index.params.tau * len(Q)
+    assert (sizes == 9).all()
+
+
+def test_tree_split_across_partitions_is_an_error(tiny_index, tiny_xq):
+    """Round-robin rows of every tree over 3 partitions: the kernel must
+    refuse, naming a tree, rather than cut windows it cannot see whole."""
+    _, Q = tiny_xq
+    split = dataclasses.replace(tiny_index, leaves=tiny_index.leaves.repartition(3))
+    with pytest.raises(Exception, match=r"tree \d+: the window of query \d+ holds"):
+        knn_query(split, Q[:2], k=5, alpha=37, gamma=9)

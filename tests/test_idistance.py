@@ -9,36 +9,31 @@ from repro.dist import euclidean
 from repro.synth_data import vectors_df
 
 
-@pytest.fixture(scope="module")
-def idx(spark, tiny_df):
-    return build_idistance(spark, tiny_df, n_centers=8, seed=0)
-
-
-def test_build_invariants(idx, tiny_xq):
+def test_build_invariants(tiny_idist, tiny_xq):
     X, _ = tiny_xq
-    assert idx.centers.shape[1] == X.shape[1]
-    pdf = idx.keyed.select("id", "center_id", "cdist").toPandas().sort_values("id")
+    assert tiny_idist.centers.shape[1] == X.shape[1]
+    pdf = tiny_idist.keyed.select("id", "center_id", "cdist").toPandas().sort_values("id")
     assert pdf["id"].tolist() == list(range(len(X)))
     # every row sits in the partition of its nearest centre, keyed by the
     # exact distance to it
-    d = np.sqrt(((X[:, None, :] - idx.centers[None, :, :]) ** 2).sum(-1))
+    d = np.sqrt(((X[:, None, :] - tiny_idist.centers[None, :, :]) ** 2).sum(-1))
     cid = pdf["center_id"].to_numpy()
     assert np.array_equal(cid, d.argmin(1))
-    assert np.array_equal(pdf["cdist"].to_numpy(), euclidean(X, idx.centers[cid]))
+    assert np.array_equal(pdf["cdist"].to_numpy(), euclidean(X, tiny_idist.centers[cid]))
 
 
-def test_cdist_is_distance_to_nearest_center(idx, tiny_xq):
+def test_cdist_is_distance_to_nearest_center(tiny_idist, tiny_xq):
     X, _ = tiny_xq
-    pdf = idx.keyed.select("id", "cdist").toPandas().sample(40, random_state=0)
-    d = np.sqrt(((X[:, None, :] - idx.centers[None, :, :]) ** 2).sum(-1))
+    pdf = tiny_idist.keyed.select("id", "cdist").toPandas().sample(40, random_state=0)
+    d = np.sqrt(((X[:, None, :] - tiny_idist.centers[None, :, :]) ** 2).sum(-1))
     for _, row in pdf.iterrows():
         assert row["cdist"] == pytest.approx(d[int(row["id"])].min(), abs=1e-6)
 
 
-def test_exactness_vs_bruteforce(idx, tiny_xq):
+def test_exactness_vs_bruteforce(tiny_idist, tiny_xq):
     """The defining property: iDistance answers are exact."""
     X, Q = tiny_xq
-    got = knn_idistance(idx, Q, k=10)
+    got = knn_idistance(tiny_idist, Q, k=10)
     pd.testing.assert_frame_equal(got, bruteforce_topk(X, Q, k=10), check_exact=True)
 
 
@@ -69,19 +64,19 @@ def test_exact_with_duplicate_vectors(spark, twice, tiny_xq, k):
     pd.testing.assert_frame_equal(small, ref, check_exact=True)
 
 
-def test_query_runs_one_spark_job(idx, tiny_xq, spark_jobs):
+def test_query_runs_one_spark_job(tiny_idist, tiny_xq, spark_jobs):
     _, Q = tiny_xq
-    assert spark_jobs(lambda: knn_idistance(idx, Q, k=10)) == 1
+    assert spark_jobs(lambda: knn_idistance(tiny_idist, Q, k=10)) == 1
 
 
-def test_exact_when_query_is_database_point(idx, tiny_xq):
+def test_exact_when_query_is_database_point(tiny_idist, tiny_xq):
     X, _ = tiny_xq
-    got = knn_idistance(idx, X[[42]], k=3)
+    got = knn_idistance(tiny_idist, X[[42]], k=3)
     assert got.iloc[0]["id"] == 42 and got.iloc[0]["dist"] == 0.0
 
 
-def test_k_exceeds_n(idx, tiny_xq):
+def test_k_exceeds_n(tiny_idist, tiny_xq):
     X, Q = tiny_xq
-    got = knn_idistance(idx, Q[:1], k=len(X) + 10)
+    got = knn_idistance(tiny_idist, Q[:1], k=len(X) + 10)
     assert len(got) == len(X)
     pd.testing.assert_frame_equal(got, bruteforce_topk(X, Q[:1], len(X)), check_exact=True)

@@ -118,12 +118,6 @@ def test_params_defaults_match_paper_recommendations():
     assert p.eta == 16
 
 
-def test_params_effective_beta_defaults_to_alpha():
-    p = HDIndexParams(nu=128, domain_lo=0, domain_hi=256, alpha=512)
-    assert p.effective_beta == 512
-    assert p.effective_gamma == 128
-
-
 def test_params_leaf_order_sift_configuration():
     p = HDIndexParams(nu=128, domain_lo=0, domain_hi=256, omega=8, m=10)
     assert p.leaf_order == 63  # Table 3, SIFTn row

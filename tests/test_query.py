@@ -47,6 +47,16 @@ def test_ptolemaic_filter_not_worse_than_triangular(tiny_index, tiny_xq, tiny_tr
     assert m_both >= m_tri - 0.05
 
 
+def test_both_beta_defaults_to_alpha(tiny_index, tiny_xq):
+    """beta defaults to the alpha of the call, here not the index's 64."""
+    _, Q = tiny_xq
+    pd.testing.assert_frame_equal(
+        knn_query(tiny_index, Q, k=10, alpha=48, gamma=8, filters="both"),
+        knn_query(tiny_index, Q, k=10, alpha=48, beta=48, gamma=8, filters="both"),
+        check_exact=True,
+    )
+
+
 def test_results_sorted_and_k_rows(tiny_index, tiny_xq):
     _, Q = tiny_xq
     got = knn_query(tiny_index, Q, k=7)
@@ -221,8 +231,6 @@ def test_query_validation(tiny_index):
         knn_query(tiny_index, q, k=5, alpha=64, beta=16, gamma=17, filters="both")
     with pytest.raises(ValueError):  # beta > alpha
         knn_query(tiny_index, q, k=5, alpha=64, beta=65, gamma=16, filters="both")
-    with pytest.raises(ValueError):  # default beta (= params alpha) > alpha
-        knn_query(tiny_index, q, k=5, alpha=32, gamma=8, filters="both")
     empty = knn_query(tiny_index, np.zeros((0, 16)), k=5)
     assert list(empty.columns) == ["qid", "rank", "id", "dist"] and empty.empty
 

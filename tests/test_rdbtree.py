@@ -14,6 +14,7 @@ def keyed_df(spark):
     n = 500
     pdf = pd.DataFrame(
         {
+            "tree_id": np.zeros(n, dtype=np.int64),
             "id": np.arange(n, dtype=np.int64),
             "hkey": [f"{v:08x}" for v in rng.integers(0, 2**31, n)],
             "payload": rng.random(n),
@@ -27,7 +28,7 @@ def test_assign_leaves_matches_sql_oracle(keyed_df):
     checked against DuckDB running the equivalent SQL."""
     df, pdf = keyed_df
     omega = 37
-    out = assign_leaves(df, "hkey", omega).select("id", "hkey", "leaf_id")
+    out = assign_leaves(df, omega).select("id", "hkey", "leaf_id")
     sql = f"""
         SELECT id, hkey,
                CAST(FLOOR((rn - 1) / {omega}) AS BIGINT) AS leaf_id
@@ -41,7 +42,7 @@ def test_assign_leaves_matches_sql_oracle(keyed_df):
 @pytest.mark.parametrize("omega", [1, 7, 64, 1000])
 def test_assign_leaves_counts(keyed_df, omega):
     df, pdf = keyed_df
-    out = assign_leaves(df, "hkey", omega)
+    out = assign_leaves(df, omega)
     counts = dict(
         out.groupBy("leaf_id").count().orderBy("leaf_id").collect()
     )
@@ -55,7 +56,7 @@ def test_assign_leaves_counts(keyed_df, omega):
 
 def test_assign_leaves_preserves_all_rows_and_payload(keyed_df):
     df, pdf = keyed_df
-    out = assign_leaves(df, "hkey", 50).toPandas()
+    out = assign_leaves(df, 50).toPandas()
     assert sorted(out["id"]) == sorted(pdf["id"])
     merged = out.merge(pdf, on="id", suffixes=("", "_orig"))
     assert np.allclose(merged["payload"], merged["payload_orig"])
@@ -64,7 +65,7 @@ def test_assign_leaves_preserves_all_rows_and_payload(keyed_df):
 def test_assign_leaves_key_ranges_disjoint(keyed_df):
     """Key ranges of consecutive leaves do not interleave."""
     df, _ = keyed_df
-    out = assign_leaves(df, "hkey", 43)
+    out = assign_leaves(df, 43)
     fences = leaf_fences(out)
     for i in range(len(fences) - 1):
         assert fences["max_key"][i] <= fences["min_key"][i + 1]
@@ -72,30 +73,30 @@ def test_assign_leaves_key_ranges_disjoint(keyed_df):
 
 def test_assign_leaves_deterministic(keyed_df):
     df, _ = keyed_df
-    a = assign_leaves(df, "hkey", 29).orderBy("id").toPandas()
-    b = assign_leaves(df, "hkey", 29).orderBy("id").toPandas()
+    a = assign_leaves(df, 29).orderBy("id").toPandas()
+    b = assign_leaves(df, 29).orderBy("id").toPandas()
     pd.testing.assert_frame_equal(a, b)
 
 
 def test_assign_leaves_rejects_bad_order(keyed_df):
     df, _ = keyed_df
     with pytest.raises(ValueError):
-        assign_leaves(df, "hkey", 0)
+        assign_leaves(df, 0)
 
 
 def test_leaf_fences_shape(keyed_df):
     df, pdf = keyed_df
-    out = assign_leaves(df, "hkey", 100)
+    out = assign_leaves(df, 100)
     fences = leaf_fences(out)
-    assert list(fences.columns) == ["leaf_id", "min_key", "max_key", "count"]
+    assert list(fences.columns) == ["tree_id", "leaf_id", "min_key", "max_key", "count"]
     assert fences["count"].sum() == len(pdf)
     assert (fences["min_key"] <= fences["max_key"]).all()
 
 
 def test_numbering_by_tree_equals_per_tree_numbering(spark):
-    """With a ``tree_id`` column, one assign_leaves/leaf_fences pass equals
-    running them on each tree alone, row for row and fence for fence. Every
-    tree comes back whole in one partition, and the result has at most the
+    """One assign_leaves/leaf_fences pass over several trees equals running
+    them on each tree alone, row for row and fence for fence. Every tree
+    comes back whole in one partition, and the result has at most the
     default parallelism's partitions."""
     omega = 37
     rng = np.random.default_rng(4)
@@ -113,7 +114,7 @@ def test_numbering_by_tree_equals_per_tree_numbering(spark):
         )
         for t, size in sizes.items()
     )
-    both = assign_leaves(spark.createDataFrame(pdf), "hkey", omega)
+    both = assign_leaves(spark.createDataFrame(pdf), omega)
     spread = dict(
         both.select("tree_id", F.spark_partition_id().alias("part"))
         .distinct()
@@ -126,19 +127,12 @@ def test_numbering_by_tree_equals_per_tree_numbering(spark):
     fences = leaf_fences(both)
     rows = both.toPandas()
     for t in sizes:
-        tree = spark.createDataFrame(pdf[pdf["tree_id"] == t].drop(columns="tree_id"))
-        alone = assign_leaves(tree, "hkey", omega)
+        alone = assign_leaves(spark.createDataFrame(pdf[pdf["tree_id"] == t]), omega)
         want = alone.toPandas().sort_values("id", ignore_index=True)
-        got = (
-            rows[rows["tree_id"] == t]
-            .drop(columns="tree_id")
-            .sort_values("id", ignore_index=True)
-        )
+        got = rows[rows["tree_id"] == t].sort_values("id", ignore_index=True)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
-        got_fences = fences[fences["tree_id"] == t].drop(columns="tree_id")
-        pd.testing.assert_frame_equal(
-            got_fences.reset_index(drop=True), leaf_fences(alone), check_exact=True
-        )
+        got_fences = fences[fences["tree_id"] == t].reset_index(drop=True)
+        pd.testing.assert_frame_equal(got_fences, leaf_fences(alone), check_exact=True)
         alone.unpersist()
     both.unpersist()
 
