@@ -65,7 +65,7 @@ def test_bench_assign_leaves_100k(benchmark, spark):
         {
             "tree_id": np.zeros(n, dtype=np.int64),
             "id": np.arange(n, dtype=np.int64),
-            "hkey": [f"{v:016x}" for v in rng.integers(0, 2**62, n)],
+            "hkey": [int(v).to_bytes(8, "big") for v in rng.integers(0, 2**62, n)],
         }
     )
     df = spark.createDataFrame(pdf).persist()

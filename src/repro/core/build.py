@@ -9,16 +9,16 @@ Pipeline per the paper, in Spark:
    ~|x|^2 * eps rounding is acceptable, while the query-to-reference and
    reference-to-reference distances it is compared with are exact;
 3. in the same pass, one pandas UDF quantises every row's tau sub-vectors
-   (dimension partitions P_i) and emits their Hilbert keys (hex, fixed
-   width, curve order omega) as one array; ``posexplode`` turns it into
-   ``(tree_id, id, hkey, rdist)`` rows, tau per object;
+   (dimension partitions P_i) and emits their Hilbert keys (fixed-width
+   big-endian bytes, curve order omega) as one array; ``posexplode`` turns
+   it into ``(tree_id, id, hkey, rdist)`` rows, tau per object;
 4. one ``rdbtree.assign_leaves`` ranks every tree by ``(hkey, id)`` in one
    ``row_number`` window partitioned by ``tree_id`` and buckets it into
    leaves of exactly Omega slots; each tree comes out as one key-ordered
    run in one partition. One ``rdbtree.leaf_fences`` collects the fences of
    every tree, folded into one driver-side ``FenceHierarchy`` per tree.
-   Each tree is then split off into its own cache or Parquet directory; a
-   Parquet tree is read back as one partition, whatever its file size.
+   Each tree is then split off into its own cache or into one Parquet file
+   in its own directory, read back as one partition whatever its size.
    The Multicurves baseline builds its trees with the same code
    (``build_curve_trees``), storing vectors instead of ``rdist``;
 5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
@@ -44,7 +44,7 @@ from dataclasses import dataclass
 import numpy as np
 import pandas as pd
 from pyspark.sql import DataFrame, SparkSession, functions as F
-from pyspark.sql.types import ArrayType, DoubleType, StringType
+from pyspark.sql.types import ArrayType, BinaryType, DoubleType
 
 from repro.dist import block_dists, euclidean
 from repro.hilbert.curve import hilbert_keys, quantize
@@ -114,7 +114,7 @@ def sample_vectors(data: DataFrame, n: int, cap: int, seed: int) -> np.ndarray:
 
 
 def subspace_keys(X: np.ndarray, dims, params: HDIndexParams) -> np.ndarray:
-    """Hilbert keys (fixed-width hex) of the rows of ``X`` in sub-space ``dims``.
+    """Hilbert keys (fixed-width bytes) of the rows of ``X`` in sub-space ``dims``.
 
     A short last partition is zero-padded to ``params.eta`` dims so every
     key of an index has the same width (Sec. 3.1).
@@ -145,15 +145,15 @@ def build_curve_trees(
     payload)`` rows, and one ``assign_leaves`` and one ``leaf_fences`` number
     and fence every tree. Each tree is then split off as ``(id, hkey,
     payload, leaf_id)``, cached in memory or, with ``parquet_dir``,
-    written to ``{parquet_dir}/tree_{i}`` and re-read from disk as one
-    partition. The union ``leaves`` is ``(tree_id, id, hkey, leaf_id,
+    written as one file to ``{parquet_dir}/tree_{i}`` and re-read from disk
+    as one partition. The union ``leaves`` is ``(tree_id, id, hkey, leaf_id,
     payload)`` coalesced to the default parallelism, so one scan of it is
     one wave of tasks and every tree lies whole in one partition; it is not
     persisted itself and reads the cached trees or the Parquet files.
     """
     partitions = params.partitions
 
-    @F.pandas_udf(ArrayType(StringType()))
+    @F.pandas_udf(ArrayType(BinaryType()))
     def hkeys_udf(vec: pd.Series) -> pd.Series:
         X = np.vstack(vec.to_numpy())
         keys = np.stack([subspace_keys(X, dims, params) for dims in partitions], axis=1)
@@ -170,7 +170,8 @@ def build_curve_trees(
             tree = tree.persist()
         else:
             path = os.path.join(parquet_dir, f"tree_{i}")
-            tree.write.mode("overwrite").parquet(path)
+            # One task writes the one partition that holds the tree.
+            tree.coalesce(1).write.mode("overwrite").parquet(path)
             # The schema is known, so the read needs no inference job. One
             # partition keeps the tree whole when its file spans several splits.
             tree = spark.read.schema(tree.schema).parquet(path).coalesce(1)

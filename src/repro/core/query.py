@@ -10,7 +10,7 @@ For a batch of queries the three phases of the paper map onto:
    broadcast to one ``mapInPandas`` pass over the index's tree union
    ``leaves``, in which every tree lies whole in one partition. The kernel
    gathers one tree's rows at a time and cuts each of its windows once: the
-   alpha rows nearest by exact ``|key - q|`` (int64 limbs of 60 bits, ties
+   alpha rows nearest by exact ``|key - q|`` (int64 limbs of 32 bits, ties
    by id). No join and no shuffle, but the pass reads every row of every
    tree: the windows bound what is kept, not what is scanned, so this is
    not yet the paper's O(log n + alpha/Omega) page reads.
@@ -48,7 +48,7 @@ __all__ = [
 
 
 def query_hilbert_keys(index: HDIndex, queries: np.ndarray) -> list[np.ndarray]:
-    """Hilbert key (hex) of every query in every tree's sub-space.
+    """Hilbert key (bytes) of every query in every tree's sub-space.
 
     ``index`` may be any curve index with ``.params``.
     """
@@ -153,27 +153,20 @@ def exact_dists(store: VectorStore, pairs: pd.DataFrame, queries: np.ndarray) ->
     )
 
 
-_LIMB_HEX = 15  # hex digits per int64 limb: 60 bits, so limb differences and borrows fit
-
-
 def key_limbs(keys) -> np.ndarray:
-    """Fixed-width lowercase hex keys as an (n, L) int64 array of 60-bit
-    limbs, most significant first; the keys are left-padded with zeros to L
-    limbs of 15 hex digits, so any key width works."""
-    keys = np.asarray(keys, dtype=str)
-    width = keys.dtype.itemsize // 4
-    n_limbs = max(1, -(-width // _LIMB_HEX))
-    codes = keys.view(np.uint32).reshape(len(keys), width).astype(np.int64)
-    digits = np.zeros((len(keys), n_limbs * _LIMB_HEX), dtype=np.int64)
-    digits[:, digits.shape[1] - width :] = codes - np.where(codes > 57, 87, 48)
-    limbs = np.zeros((len(keys), n_limbs), dtype=np.int64)
-    for j in range(_LIMB_HEX):  # Horner over each limb's digits
-        limbs = limbs * 16 + digits[:, j::_LIMB_HEX]
-    return limbs
+    """Fixed-width big-endian byte keys as an (n, L) int64 array of 32-bit
+    limbs, most significant first; the keys are left-padded with zero bytes
+    to L whole 4-byte words, so any key width works."""
+    keys = list(keys)
+    width = len(keys[0]) if keys else 0
+    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), width)
+    raw = np.zeros((len(keys), -(-max(width, 1) // 4) * 4), dtype=np.uint8)
+    raw[:, raw.shape[1] - width :] = packed
+    return raw.view(">u4").astype(np.int64)
 
 
 def key_dist(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Exact ``|key - q|`` as limbs in [0, 2^60): ``keys`` (n, L) and ``q``
+    """Exact ``|key - q|`` as limbs in [0, 2^32): ``keys`` (n, L) and ``q``
     (L,) from :func:`key_limbs`. Lexicographic order of the rows is numeric
     order of the distances."""
     d = keys - q
@@ -181,7 +174,7 @@ def key_dist(keys: np.ndarray, q: np.ndarray) -> np.ndarray:
     d[lead < 0] *= -1
     for i in range(d.shape[1] - 1, 0, -1):  # borrow pass, least significant first
         low = d[:, i] < 0
-        d[low, i] += 1 << 60
+        d[low, i] += 1 << 32
         d[low, i - 1] -= 1
     return d
 
@@ -191,28 +184,28 @@ def key_order(limbs: list, ids: np.ndarray) -> np.ndarray:
     limb columns, most significant first (:func:`key_dist`).
 
     One sort runs on a float prefix of each distance: its leading nonzero
-    limb at that limb's binary scale, then, when that limb is exact in a
-    float (< 2^53), the limb below it. The prefix never decreases as the
-    distance grows, and rows tie on it only when their leading 53 or more
-    bits agree; those rows alone are re-sorted by the full limbs and id, so
-    wide keys cost a few passes, not one per limb.
+    limb and the limb below it, added at their binary scales and rounded
+    once. The prefix never decreases as the distance grows, and rows tie on
+    it only when they agree to about 53 leading bits or it overflows to
+    inf; those rows alone are re-sorted by the full limbs and id, so wide
+    keys cost a few passes, not one per limb.
     """
-    hi, lo = np.zeros(len(ids)), np.zeros(len(ids))
+    prefix = np.zeros(len(ids))
     pending = np.arange(len(ids))  # rows whose leading nonzero limb is not found yet
     with np.errstate(over="ignore"):  # keys beyond ~1020 bits: inf, still monotone
         for i, limb in enumerate(limbs):
             v = limb[pending]
             rows, lead = pending[v != 0], v[v != 0]
-            hi[rows] = np.ldexp(lead.astype(np.float64), 60 * (len(limbs) - 1 - i))
+            scale = 32 * (len(limbs) - 1 - i)
+            prefix[rows] = np.ldexp(lead.astype(np.float64), scale)
             if i + 1 < len(limbs):
-                fits = (lead < 1 << 53) & np.isfinite(hi[rows])
-                lo[rows] = np.where(fits, limbs[i + 1][rows].astype(np.float64), 0.0)
+                prefix[rows] += np.ldexp(limbs[i + 1][rows].astype(np.float64), scale - 32)
             pending = pending[v == 0]
             if len(pending) == 0:
                 break
-    order = np.lexsort([lo, hi])
-    h, l = hi[order], lo[order]
-    tie = (h[1:] == h[:-1]) & (l[1:] == l[:-1])
+    order = np.argsort(prefix)
+    p = prefix[order]
+    tie = p[1:] == p[:-1]
     if tie.any():
         # Sorting the tied rows by (limbs, id) orders each run exactly and
         # keeps the runs, which the prefix already ordered, in place.

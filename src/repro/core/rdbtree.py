@@ -6,8 +6,10 @@ exactly Omega entries per 4 KB page (Eq. 4). Our distributed realisation
 keeps that geometry:
 
 * the **leaf level** is a DataFrame with columns ``(id, hkey, rdist,
-  leaf_id)``, where ``leaf_id`` is the row's rank in ``(hkey, id)`` order
-  divided by Omega: one ``row_number`` window per tree. Each tree is one
+  leaf_id)``. ``hkey`` is the Hilbert key as fixed-width big-endian
+  ``binary``, which Spark orders unsigned and bytewise, so in numeric key
+  order. ``leaf_id`` is the row's rank in ``(hkey, id)`` order divided by
+  Omega: one ``row_number`` window per tree. Each tree is one
   key-ordered run in one Spark partition, so the sort runs at most
   min(tau, default parallelism) tasks at a time. Queries rely on that
   layout, since their kernel cuts each window from one whole tree, but not
@@ -121,7 +123,7 @@ class FenceHierarchy:
     def total_slots(self) -> int:
         return self.cum[-1]
 
-    def lookup(self, key: str) -> int:
+    def lookup(self, key: bytes) -> int:
         """Leaf id whose key range the probe key falls into (or is nearest):
         the last leaf whose min key is <= ``key``, else leaf 0."""
         return max(0, bisect.bisect_right(self._min_keys, key) - 1)

@@ -6,6 +6,8 @@ contiguous partitioning loses nothing (SIFT10K 0.974±0.002 etc.).
 """
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 from pyspark.sql import SparkSession
 
@@ -33,18 +35,7 @@ def random_partitioning_study(
     t_ids, _ = ranked_lists(truth, len(Q))
 
     def one(scheme: str, seed: int) -> float:
-        p = HDIndexParams(
-            nu=base_params.nu,
-            domain_lo=base_params.domain_lo,
-            domain_hi=base_params.domain_hi,
-            tau=base_params.tau,
-            omega=base_params.omega,
-            m=base_params.m,
-            alpha=base_params.alpha,
-            gamma=base_params.gamma,
-            partition_scheme=scheme,
-            seed=seed,
-        )
+        p = dataclasses.replace(base_params, partition_scheme=scheme, seed=seed)
         idx = build_hd_index(spark, df, p)
         res = knn_query(idx, Q, k, filters="tri")
         g_ids, _ = ranked_lists(res, len(Q))

@@ -9,9 +9,11 @@ bitwise operations applied column-wise over an ``(n, eta)`` uint64 array.
 
 A key has ``eta * omega`` bits, which for the paper's configurations (e.g.
 SUN: eta=64, omega=32 -> 2048 bits) vastly exceeds any machine integer. Keys
-are therefore emitted as **fixed-width hex strings**: zero-padded so that
-lexicographic string order equals numeric key order, which makes them
-directly usable as Spark sort/range-partition keys and DuckDB-comparable.
+are therefore emitted as the paper's leaf entries store them (Eq. 4):
+**ceil(eta * omega / 8) big-endian bytes**, zero-padded at the front, so
+unsigned bytewise order equals numeric key order. Python ``bytes``, Spark's
+``binary`` and DuckDB's ``BLOB`` all compare that way, which makes the keys
+directly usable as Spark sort keys and DuckDB-comparable.
 
 The orientation convention (identity axis order, no reflections) reproduces
 the paper's running example (Table 2): all 8 HK1 ranks and 7/8 HK2 ranks
@@ -28,15 +30,8 @@ __all__ = [
     "hilbert_keys",
     "hilbert_key_one",
     "decode_key",
-    "key_hex_width",
     "rank_along_curve",
 ]
-
-
-def key_hex_width(eta: int, omega: int) -> int:
-    """Number of hex characters in a fixed-width key for ``eta`` dims of ``omega`` bits."""
-    total_bits = eta * omega
-    return 2 * ((total_bits + 7) // 8)
 
 
 def quantize(
@@ -134,8 +129,8 @@ def hilbert_keys(coords: np.ndarray, omega: int) -> np.ndarray:
 
     Returns
     -------
-    ``(n,)`` object array of fixed-width lowercase hex strings; lexicographic
-    order equals numeric Hilbert-key order.
+    ``(n,)`` object array of ``bytes``, each ceil(eta * omega / 8) long and
+    big-endian; bytewise order equals numeric Hilbert-key order.
     """
     coords = np.asarray(coords)
     if coords.ndim != 2:
@@ -158,17 +153,13 @@ def hilbert_keys(coords: np.ndarray, omega: int) -> np.ndarray:
         bits[:, col0 : col0 + eta] = ((T >> np.uint64(b)) & np.uint64(1)).astype(
             np.uint8
         )
-    packed = np.packbits(bits, axis=1)
-    nbytes = packed.shape[1]
-    blob = packed.tobytes().hex()
-    width = 2 * nbytes
-    return np.array([blob[i * width : (i + 1) * width] for i in range(n)], dtype=object)
+    return np.array([row.tobytes() for row in np.packbits(bits, axis=1)], dtype=object)
 
 
 def hilbert_key_one(coords, omega: int) -> int:
     """Scalar Hilbert key as a Python int — reference path used by tests."""
     arr = np.asarray([coords], dtype=np.uint64)
-    return int(hilbert_keys(arr, omega)[0], 16)
+    return int.from_bytes(hilbert_keys(arr, omega)[0], "big")
 
 
 def decode_key(key: int, eta: int, omega: int) -> np.ndarray:

@@ -22,6 +22,8 @@ def _canon(pdf: pd.DataFrame) -> pd.DataFrame:
     pdf = pdf[sorted(pdf.columns)].reset_index(drop=True).copy()
     for c in pdf.select_dtypes(include=["float", "float64"]).columns:
         pdf[c] = pdf[c].round(6)
+    for c in pdf.select_dtypes(include="object").columns:  # DuckDB BLOBs come back as bytearray
+        pdf[c] = pdf[c].map(lambda v: bytes(v) if isinstance(v, bytearray) else v)
     return pdf.sort_values(list(pdf.columns)).reset_index(drop=True)
 
 

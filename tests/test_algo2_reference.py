@@ -29,10 +29,10 @@ def reference_knn(index, X, queries, filters):
     for t, tree in enumerate(index.trees):
         pdf = tree.select("id", "hkey", "rdist").toPandas()
         ids = pdf["id"].to_numpy()
-        keys = [int(h, 16) for h in pdf["hkey"]]
+        keys = [int.from_bytes(h, "big") for h in pdf["hkey"]]
         R = np.vstack(pdf["rdist"].to_numpy())
         for qid, qk in enumerate(qkeys[t]):
-            q = int(qk, 16)
+            q = int.from_bytes(qk, "big")
             near = sorted(range(len(ids)), key=lambda r: (abs(keys[r] - q), ids[r]))
             rows = np.array(near[:ALPHA])
             tri = np.abs(R[rows] - qr[qid]).max(axis=1)

@@ -3,13 +3,14 @@ import os
 
 import numpy as np
 import pandas as pd
+import pyarrow.parquet as pq
 import pytest
 from pyspark.sql import functions as F
 
 from repro.core.build import build_hd_index
 from repro.core.params import HDIndexParams
 from repro.core.query import knn_query
-from repro.hilbert.curve import hilbert_keys, key_hex_width, quantize
+from repro.hilbert.curve import hilbert_keys, quantize
 from repro.synth_data import make_vectors, vectors_df
 
 
@@ -60,7 +61,9 @@ def test_hilbert_keys_match_recomputation(tiny_index, tiny_xq, tiny_params):
 
 
 def test_keys_have_fixed_width(tiny_index, tiny_params):
-    w = key_hex_width(tiny_params.eta, tiny_params.omega)
+    """Every stored key is ceil(eta * omega / 8) bytes: the Eq. 4 entry."""
+    w = -(-tiny_params.eta * tiny_params.omega // 8)
+    assert dict(tiny_index.trees[0].dtypes)["hkey"] == "binary"
     lens = (
         tiny_index.trees[0]
         .select(F.length("hkey").alias("l"))
@@ -125,6 +128,18 @@ def test_parquet_roundtrip(spark, tmp_path):
             knn_query(mem, Q, k=10, filters=filters),
             check_exact=True,
         )
+
+
+def test_parquet_tree_is_one_file(spark, tmp_path):
+    """Each tree directory holds one Parquet file with all n rows, however
+    many partitions the build ran on: no schema-only files beside it."""
+    X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=9)
+    p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=4, omega=4, m=3, alpha=32)
+    build_hd_index(spark, vectors_df(spark, X), p, parquet_dir=str(tmp_path / "idx"))
+    for t in range(p.tau):
+        files = list((tmp_path / "idx" / f"tree_{t}").glob("*.parquet"))
+        assert len(files) == 1, files
+        assert pq.ParquetFile(files[0]).metadata.num_rows == 300
 
 
 def test_parquet_trees_over_many_row_groups(spark, tmp_path):

@@ -24,8 +24,12 @@ def _keep_all(qid, payload_rows):
 def _limbs_value(row) -> int:
     v = 0
     for limb in row:
-        v = (v << 60) + int(limb)
+        v = (v << 32) + int(limb)
     return v
+
+
+def _int(key: bytes) -> int:
+    return int.from_bytes(key, "big")
 
 
 @pytest.mark.parametrize(
@@ -48,9 +52,8 @@ def test_alpha_window_keeps_nearest_keys(request, tiny_xq, tiny_params, which, p
     straddles = 0
     for t, tree in enumerate(index.trees):
         pdf = tree.select("id", "hkey").toPandas()
-        keys = [int(h, 16) for h in pdf["hkey"]]
-        for qid, qk_hex in enumerate(qkeys[t]):
-            qk = int(qk_hex, 16)
+        keys = [_int(h) for h in pdf["hkey"]]
+        for qid, qk in enumerate(map(_int, qkeys[t])):
             ranked = sorted(zip((abs(k - qk) for k in keys), pdf["id"]))
             want = [i for _, i in ranked[:alpha]]
             have = got[(got["tree_id"] == t) & (got["qid"] == qid)]["id"].tolist()
@@ -60,36 +63,50 @@ def test_alpha_window_keeps_nearest_keys(request, tiny_xq, tiny_params, which, p
         assert straddles > 0  # the id tie-break decided some alpha cut
 
 
+@pytest.mark.parametrize("width", [1, 3, 4, 5, 16, 150])
+def test_key_limbs_are_32_bit_words(width):
+    """key_limbs equals the big-endian integer of each key split into 32-bit
+    words, most significant first, over whole words: keys ending in zero
+    bytes keep them, and the top word takes the key's leading bytes."""
+    rng = random.Random(width)
+    keys = [rng.randbytes(width) for _ in range(50)]
+    keys += [bytes(width), b"\xff" * width, b"\x80" + bytes(width - 1), keys[0][:-1] + b"\0"]
+    n_limbs = -(-width // 4)
+    want = [[(_int(k) >> 32 * i) & 0xFFFFFFFF for i in reversed(range(n_limbs))] for k in keys]
+    limbs = key_limbs(keys)
+    assert limbs.dtype == np.int64 and limbs.tolist() == want
+
+
 @pytest.mark.parametrize("width", [1, 2, 15, 16, 30, 32, 45, 64])
 def test_key_dist_is_exact(width):
-    """Limb key distances equal Python's big-int |k - q| at any key width,
-    with every limb in [0, 2^60)."""
+    """Limb key distances equal Python's big-int |k - q| at any key width
+    in bytes, with every limb in [0, 2^32)."""
     rng = random.Random(width)
-    keys = ["".join(rng.choice("0123456789abcdef") for _ in range(width)) for _ in range(200)]
-    keys += ["0" * width, "f" * width]
+    keys = [rng.randbytes(width) for _ in range(200)]
+    keys += [bytes(width), b"\xff" * width]
     limbs = key_limbs(keys)
-    for q in [keys[0], keys[1], "0" * width, "f" * width]:
+    for q in [keys[0], keys[1], bytes(width), b"\xff" * width]:
         d = key_dist(limbs, key_limbs([q])[0])
-        assert d.dtype == np.int64 and (d >= 0).all() and (d < 1 << 60).all()
-        assert [_limbs_value(r) for r in d] == [abs(int(k, 16) - int(q, 16)) for k in keys]
+        assert d.dtype == np.int64 and (d >= 0).all() and (d < 1 << 32).all()
+        assert [_limbs_value(r) for r in d] == [abs(_int(k) - _int(q)) for k in keys]
     assert (key_dist(limbs, limbs[5]).any(axis=1) == [k != keys[5] for k in keys]).all()
 
 
-@pytest.mark.parametrize("width", [1, 16, 45, 192, 300])
+@pytest.mark.parametrize("width", [1, 16, 45, 150, 192, 300])
 def test_key_order_is_exact(width):
     """key_order equals a sort by (big-int |k - q|, id), with most keys a few
-    low digits away from each other so that their float prefixes tie, and at
-    300 hex digits, where the prefixes overflow to inf."""
+    low bytes away from each other so that their float prefixes tie, and
+    from 150 bytes on, where the prefixes of far keys overflow to inf."""
     rng = random.Random(width)
-    near = "".join(rng.choice("0123456789abcdef") for _ in range(width))
+    near = rng.randbytes(width)
     keys = []
     for _ in range(400):
         cut = rng.randint(max(0, width - 3), width) if rng.random() < 0.7 else 0
-        keys.append(near[:cut] + "".join(rng.choice("0123456789abcdef") for _ in range(width - cut)))
+        keys.append(near[:cut] + rng.randbytes(width - cut))
     ids = np.array(rng.sample(range(10**6), len(keys)))
-    for q in [near, keys[3], "f" * width]:
+    for q in [near, keys[3], b"\xff" * width]:
         limbs = list(key_dist(key_limbs(keys), key_limbs([q])[0]).T)
-        exact = [abs(int(k, 16) - int(q, 16)) for k in keys]
+        exact = [abs(_int(k) - _int(q)) for k in keys]
         want = sorted(range(len(keys)), key=lambda i: (exact[i], ids[i]))
         assert key_order(limbs, ids).tolist() == want
 

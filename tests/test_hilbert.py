@@ -1,9 +1,11 @@
 """Unit tests for the Hilbert curve substrate (repro.hilbert.curve).
 
 Covers: key encode/decode bijectivity, curve adjacency (the defining Hilbert
-property), hex fixed-width ordering, quantisation semantics, and the paper's
-Table 2 running example.
+property), fixed-width big-endian byte keys and their order, quantisation
+semantics, and the paper's Table 2 running example.
 """
+import random
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -13,7 +15,6 @@ from repro.hilbert.curve import (
     decode_key,
     hilbert_key_one,
     hilbert_keys,
-    key_hex_width,
     quantize,
     rank_along_curve,
 )
@@ -74,7 +75,7 @@ def test_encode_decode_roundtrip_exhaustive(eta, omega):
     grids = np.indices((n_cells,) * eta).reshape(eta, -1).T.astype(np.uint64)
     keys = hilbert_keys(grids, omega)
     for row, hk in zip(grids, keys):
-        back = decode_key(int(hk, 16), eta, omega)
+        back = decode_key(int.from_bytes(hk, "big"), eta, omega)
         assert np.array_equal(back, row)
 
 
@@ -83,7 +84,7 @@ def test_curve_is_bijective_over_grid(eta, omega):
     """Every cell gets a distinct key and keys cover 0..2^(eta*omega)-1."""
     n_cells = 1 << omega
     grids = np.indices((n_cells,) * eta).reshape(eta, -1).T.astype(np.uint64)
-    keys = sorted(int(k, 16) for k in hilbert_keys(grids, omega))
+    keys = sorted(int.from_bytes(k, "big") for k in hilbert_keys(grids, omega))
     assert keys == list(range(n_cells**eta))
 
 
@@ -114,7 +115,7 @@ def test_roundtrip_random(eta, omega, seed):
     coords = rng.integers(0, 1 << omega, size=(4, eta)).astype(np.uint64)
     keys = hilbert_keys(coords, omega)
     for row, hk in zip(coords, keys):
-        assert np.array_equal(decode_key(int(hk, 16), eta, omega), row)
+        assert np.array_equal(decode_key(int.from_bytes(hk, "big"), eta, omega), row)
 
 
 def test_large_eta_omega_key_width():
@@ -122,16 +123,30 @@ def test_large_eta_omega_key_width():
     rng = np.random.default_rng(0)
     coords = rng.integers(0, 2**32, size=(8, 64)).astype(np.uint64)
     keys = hilbert_keys(coords, 32)
-    w = key_hex_width(64, 32)
-    assert w == 512
-    assert all(len(k) == w for k in keys)
+    assert all(type(k) is bytes and len(k) == 256 for k in keys)
 
 
-def test_hex_order_equals_numeric_order():
+@pytest.mark.parametrize("eta,omega", [(1, 1), (2, 3), (3, 3), (4, 2), (16, 8), (5, 13)])
+def test_keys_are_eq4_bytes(eta, omega):
+    """Every key is exactly ceil(eta * omega / 8) bytes and reads back as
+    its integer: key 0, the last key, keys ending in a zero byte and random
+    keys, each encoded from the cell it decodes to."""
+    bits, width = eta * omega, -(-eta * omega // 8)
+    rng = random.Random(bits)
+    values = [0, (1 << bits) - 1] + [rng.getrandbits(bits) for _ in range(20)]
+    values += [v & ~0xFF for v in values[1:]]  # the same keys ending in 0x00
+    coords = np.array([decode_key(v, eta, omega) for v in values], dtype=np.uint64)
+    keys = hilbert_keys(coords, omega)
+    assert all(type(k) is bytes and len(k) == width for k in keys)
+    assert [int.from_bytes(k, "big") for k in keys] == values
+    assert keys[0] == bytes(width)
+
+
+def test_byte_order_equals_numeric_order():
     rng = np.random.default_rng(1)
     coords = rng.integers(0, 2**8, size=(200, 6)).astype(np.uint64)
     keys = hilbert_keys(coords, 8)
-    as_int = [int(k, 16) for k in keys]
+    as_int = [int.from_bytes(k, "big") for k in keys]
     assert sorted(keys) == [k for _, k in sorted(zip(as_int, keys))]
 
 
@@ -140,7 +155,7 @@ def test_vector_matches_scalar():
     coords = rng.integers(0, 2**4, size=(50, 3)).astype(np.uint64)
     keys = hilbert_keys(coords, 4)
     for row, hk in zip(coords, keys):
-        assert int(hk, 16) == hilbert_key_one(row, 4)
+        assert int.from_bytes(hk, "big") == hilbert_key_one(row, 4)
 
 
 # --- quantize ----------------------------------------------------------------

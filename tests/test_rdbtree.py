@@ -23,12 +23,21 @@ def keyed_df(spark):
     return spark.createDataFrame(pdf), pdf
 
 
-def test_assign_leaves_matches_sql_oracle(keyed_df):
+def test_assign_leaves_matches_sql_oracle(spark, keyed_df):
     """leaf_id equals a row_number window bucketed Omega-at-a-time —
-    checked against DuckDB running the equivalent SQL."""
-    df, pdf = keyed_df
+    checked against DuckDB running the equivalent SQL, on hex string keys
+    and on the index's key type: fixed-width binary keys, here 8 bytes whose
+    leading bytes fall on both sides of 0x80. On the binary keys the
+    numbering must also follow each key's unsigned big-endian value, so a
+    signed byte order in Spark, DuckDB or pandas fails."""
     omega = 37
-    out = assign_leaves(df, omega).select("id", "hkey", "leaf_id")
+    rng = np.random.default_rng(1)
+    keys = [rng.bytes(8) for _ in range(400)]
+    keys += keys[:100]  # ties, broken by id
+    assert min(k[0] for k in keys) < 0x80 <= max(k[0] for k in keys)
+    binary = pd.DataFrame(
+        {"tree_id": np.zeros(len(keys), dtype=np.int64), "id": np.arange(len(keys)), "hkey": keys}
+    )
     sql = f"""
         SELECT id, hkey,
                CAST(FLOOR((rn - 1) / {omega}) AS BIGINT) AS leaf_id
@@ -36,7 +45,14 @@ def test_assign_leaves_matches_sql_oracle(keyed_df):
                      row_number() OVER (ORDER BY hkey, id) AS rn
               FROM input)
     """
-    assert_equivalent(out, sql, input=pdf[["id", "hkey"]])
+    for df, pdf in [keyed_df, (spark.createDataFrame(binary), binary)]:
+        out = assign_leaves(df, omega).select("id", "hkey", "leaf_id")
+        assert_equivalent(out, sql, input=pdf[["id", "hkey"]])
+    assert dict(out.dtypes)["hkey"] == "binary"
+    numeric = sorted(range(len(keys)), key=lambda i: (int.from_bytes(keys[i], "big"), i))
+    want = np.empty(len(keys), dtype=np.int64)
+    want[numeric] = np.arange(len(keys)) // omega
+    assert out.toPandas().sort_values("id")["leaf_id"].tolist() == want.tolist()
 
 
 @pytest.mark.parametrize("omega", [1, 7, 64, 1000])
