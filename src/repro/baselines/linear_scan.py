@@ -12,14 +12,19 @@ that is a base vector is at distance 0.0.
 """
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pandas as pd
+from pyspark.errors import PythonException
 from pyspark.sql import DataFrame
 
 from repro.core.query import DIST_SCHEMA, check_batch, empty_result, smallest_per_query, top_k
 from repro.dist import block_dists, euclidean
 
 __all__ = ["knn_linear_scan", "bruteforce_topk"]
+
+_WIDTH = "the data vectors have"  # the scan's width error, up to the widths
 
 
 def bruteforce_topk(X: np.ndarray, queries: np.ndarray, k: int) -> pd.DataFrame:
@@ -42,7 +47,8 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
 
     Returns (qid, rank, id, dist) with rank 1-based, ties broken by id.
     The batch's width is taken from the batch itself: ``data`` carries no nu
-    without a Spark job.
+    without a Spark job. The scan checks it against every Arrow batch of
+    ``data`` instead, and a mismatch raises ValueError naming both widths.
     """
     queries = check_batch(queries, np.shape(queries)[-1] if np.ndim(queries) else 0, k)
     if len(queries) == 0:
@@ -55,6 +61,8 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
                 continue
             X = np.vstack(pdf["vec"].to_numpy())
             Q = b_q.value
+            if X.shape[1] != Q.shape[1]:
+                raise ValueError(f"{_WIDTH} {X.shape[1]} dims, the queries {Q.shape[1]}")
             # the block form only chooses each query's k rows
             qid, rows = smallest_per_query(block_dists(Q, X), k)
             yield pd.DataFrame(
@@ -65,5 +73,12 @@ def knn_linear_scan(data: DataFrame, queries: np.ndarray, k: int) -> pd.DataFram
                 }
             )
 
-    partials = data.select("id", "vec").mapInPandas(local_topk, DIST_SCHEMA).toPandas()
+    try:
+        partials = data.select("id", "vec").mapInPandas(local_topk, DIST_SCHEMA).toPandas()
+    except PythonException as e:
+        # The kernel's width error, raised again on the driver as itself.
+        found = re.search(rf"ValueError: ({_WIDTH} \d+ dims, the queries \d+)", str(e))
+        if found is None:
+            raise
+        raise ValueError(found.group(1)) from e
     return top_k(partials, k)

@@ -7,12 +7,12 @@ nu=128 at 8 bytes/dim only ~3 entries fit a 4 KB page, the paper's Sec. 3.2
 argument and the 1.2 TB index of Sec. 5.4.3). A query takes the alpha
 nearest-by-key entries per curve and re-ranks the union by exact distance.
 
-Trees and their union come from HD-Index's ``build_curve_trees`` at the
-Multicurves leaf order with ``vec`` as the leaf payload, and candidates from
-HD-Index's ``curve_candidates``, whose kernel keeps all alpha rows of each
-(tree, query) window with their exact distance to the query, since the
-vector sits in the leaf. The kernel holds one tree's rows and vectors at a
-time, n * nu * 8 bytes of payload per Python worker. The driver drops the
+Trees and their page table come from HD-Index's ``build_curve_trees`` at
+the Multicurves leaf order with ``vec`` as the leaf payload, and candidates
+from HD-Index's ``curve_candidates``, whose kernel keeps all alpha entries
+of each (tree, query) window with their exact distance to the query, since
+the vector sits in the leaf. The kernel holds one tree's pages at a time,
+up to n * nu * 8 bytes of vectors per Python worker. The driver drops the
 (qid, id) duplicates across trees and keeps the top k; no base pass is
 needed.
 """
@@ -48,9 +48,9 @@ def mc_leaf_order(eta: int, omega: int, nu: int, page_size: int = PAGE_SIZE) -> 
 @dataclass
 class MulticurvesIndex:
     params: HDIndexParams  # reuses nu/domain/tau/omega/partitions
-    trees: list
+    trees: list  # list[DataFrame]: (id, hkey, vec, leaf_id) views over each tree's pages
     hierarchies: list
-    leaves: DataFrame  # (tree_id, id, hkey, leaf_id, vec): the trees' union
+    pages: DataFrame  # (tree_id, leaf_id, rows, keys, ids, payload): one row per leaf
     n: int
     leaf_order: int
 
@@ -58,11 +58,12 @@ class MulticurvesIndex:
 def build_multicurves(
     spark: SparkSession, data: DataFrame, params: HDIndexParams
 ) -> MulticurvesIndex:
-    """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order;
-    n is the slot count of a tree's fences, since every tree holds every id."""
+    """tau trees of (id, hkey, vec) bucketed at the Multicurves leaf order and
+    packed into pages; n is the slot count of a tree's fences, since every
+    tree holds every id."""
     order = mc_leaf_order(params.eta, params.omega, params.nu)
-    trees, hierarchies, leaves = build_curve_trees(spark, data, params, "vec", order)
-    return MulticurvesIndex(params, trees, hierarchies, leaves, hierarchies[0].total_slots, order)
+    trees, hierarchies, pages = build_curve_trees(spark, data, params, "vec", order)
+    return MulticurvesIndex(params, trees, hierarchies, pages, hierarchies[0].total_slots, order)
 
 
 def knn_multicurves(
@@ -72,10 +73,10 @@ def knn_multicurves(
     queries = check_batch(queries, index.params.nu, k, alpha)
     if len(queries) == 0:
         return empty_result()
-    b_q = index.leaves.sparkSession.sparkContext.broadcast(queries)
+    b_q = index.pages.sparkSession.sparkContext.broadcast(queries)
 
     def keep_all(qid, vec):
         return np.arange(len(vec)), {"dist": euclidean(vec, b_q.value[qid][None, :])}
 
-    cands = curve_candidates(index, queries, alpha, "vec", keep_all, ["dist"])
+    cands = curve_candidates(index, queries, alpha, keep_all, ["dist"])
     return top_k(cands[["qid", "id", "dist"]].drop_duplicates(["qid", "id"]), k)

@@ -15,25 +15,27 @@ Pipeline per the paper, in Spark:
 4. one ``rdbtree.assign_leaves`` ranks every tree by ``(hkey, id)`` in one
    ``row_number`` window partitioned by ``tree_id`` and buckets it into
    leaves of exactly Omega slots; each tree comes out as one key-ordered
-   run in one partition. One ``rdbtree.leaf_fences`` collects the fences of
-   every tree, folded into one driver-side ``FenceHierarchy`` per tree.
-   Each tree is then split off into its own cache or into one Parquet file
-   in its own directory, read back as one partition whatever its size.
-   The Multicurves baseline builds its trees with the same code
-   (``build_curve_trees``), storing vectors instead of ``rdist``;
-5. the trees' union ``leaves`` — ``(tree_id, id, hkey, leaf_id, rdist)``
-   coalesced to the default parallelism — is the one table a query's
-   candidate pass scans. It is a plan over the cached (or Parquet) trees,
-   not a further cache, and every tree lies whole in one of its
-   partitions, which the query kernel needs.
+   run in one partition. One ``rdbtree.pack_leaves`` pass packs every leaf
+   into one page row ``(tree_id, leaf_id, rows, keys, ids, payload)`` with
+   no shuffle. Each tree's pages are then split off into their own cache,
+   or into one Parquet file of one row group in their own directory
+   ``tree_{i}``. The Multicurves baseline builds its trees with the same
+   code (``build_curve_trees``), storing vectors instead of ``rdist``;
+5. the page table ``pages`` — every tree's pages, coalesced to the default
+   parallelism with every tree whole in one partition — is the one table a
+   query's candidate pass scans: one union of the caches, or one read of
+   the Parquet directories. One ``rdbtree.leaf_fences`` pass over it
+   collects the fences of every tree, folded into one driver-side
+   ``FenceHierarchy`` per tree, and in memory fills every tree's cache.
 
-The returned :class:`HDIndex` holds the tree DataFrames (cached, and
-optionally persisted to Parquet — the disk-resident form), their union, the
-fence hierarchies, the reference vectors and their pairwise distances
-(needed by the Ptolemaic filter's denominators), and the
+The returned :class:`HDIndex` holds the page table (cached, or persisted to
+Parquet — the disk-resident form), one decoding view per tree over its
+pages, the fence hierarchies, the reference vectors and their pairwise
+distances (needed by the Ptolemaic filter's denominators), and the
 :class:`VectorStore` the query's exact re-rank reads by id: the vectors,
 collected once at build time into driver memory or, with ``parquet_dir``,
-into ``{parquet_dir}/vectors.npy`` read back through ``np.memmap``.
+into ``{parquet_dir}/vectors.npy`` read back through ``np.memmap``. The
+pages are the index's one copy of its entries.
 """
 from __future__ import annotations
 
@@ -50,7 +52,9 @@ from repro.dist import block_dists, euclidean
 from repro.hilbert.curve import hilbert_keys, quantize
 from repro.refsel.selection import select
 from repro.core.params import HDIndexParams
-from repro.core.rdbtree import TREE_COL, FenceHierarchy, assign_leaves, leaf_fences
+from repro.core.rdbtree import (
+    PAGE_SCHEMA, TREE_COL, FenceHierarchy, assign_leaves, leaf_fences, pack_leaves, unpack_pages,
+)
 
 __all__ = [
     "HDIndex", "VectorStore", "build_hd_index", "build_curve_trees", "subspace_keys",
@@ -59,6 +63,9 @@ __all__ = [
 
 _REF_SAMPLE_CAP = 4096  # driver-side sample size for reference selection
 _REF_METHOD, _REF_F = "sss", 0.3  # reference selection: SSS with threshold f (Sec. 3.3)
+# Parquet row-group size of a tree file, so that a tree of up to 1 GiB of
+# pages is one row group.
+_ROW_GROUP_BYTES = 1 << 30
 
 
 @dataclass(frozen=True)
@@ -93,9 +100,9 @@ class HDIndex:
     params: HDIndexParams
     ref_vectors: np.ndarray  # (m, nu)
     ref_pairwise: np.ndarray  # (m, m) distances between references
-    trees: list  # list[DataFrame] with (id, hkey, rdist, leaf_id)
+    trees: list  # list[DataFrame]: (id, hkey, rdist, leaf_id) views over each tree's pages
     hierarchies: list  # list[FenceHierarchy]
-    leaves: DataFrame  # (tree_id, id, hkey, leaf_id, rdist): the trees' union
+    pages: DataFrame  # (tree_id, leaf_id, rows, keys, ids, payload): one row per leaf
     store: VectorStore  # the vectors by id, for the exact re-rank
     n: int
 
@@ -135,21 +142,21 @@ def build_curve_trees(
     *,
     parquet_dir: str | None = None,
 ) -> tuple[list, list, DataFrame]:
-    """One key-sorted tree per dimension partition, its fence hierarchy, and
-    the union of the trees that queries scan.
+    """One key-sorted tree per dimension partition as views, its fence
+    hierarchy, and the page table that queries scan.
 
     ``source`` holds ``id``, ``vec`` and the ``payload`` column the leaves
     store (``rdist`` for HD-Index, ``vec`` for Multicurves); ``order`` is the
     leaf order. All tau trees come from one pass: a pandas UDF emits every
     row's tau keys, ``posexplode`` turns them into ``(tree_id, id, hkey,
-    payload)`` rows, and one ``assign_leaves`` and one ``leaf_fences`` number
-    and fence every tree. Each tree is then split off as ``(id, hkey,
-    payload, leaf_id)``, cached in memory or, with ``parquet_dir``,
-    written as one file to ``{parquet_dir}/tree_{i}`` and re-read from disk
-    as one partition. The union ``leaves`` is ``(tree_id, id, hkey, leaf_id,
-    payload)`` coalesced to the default parallelism, so one scan of it is
-    one wave of tasks and every tree lies whole in one partition; it is not
-    persisted itself and reads the cached trees or the Parquet files.
+    payload)`` rows, one ``assign_leaves`` numbers every tree and one
+    ``pack_leaves`` packs every leaf into a page row. Each tree's pages are
+    then cached in memory or, with ``parquet_dir``, written as one file of
+    one row group to ``{parquet_dir}/tree_{i}``. The page table is every tree's pages
+    coalesced to the default parallelism, with every tree whole in one
+    partition; one ``leaf_fences`` pass over it fences every tree and, in
+    memory, fills every tree's cache. The trees are ``unpack_pages`` views
+    ``(id, hkey, payload, leaf_id)`` over each tree's pages, not caches.
     """
     partitions = params.partitions
 
@@ -161,36 +168,49 @@ def build_curve_trees(
 
     rows = source.select(F.posexplode(hkeys_udf("vec")).alias(TREE_COL, "hkey"), "id", payload)
     numbered = assign_leaves(rows, order)
-    fences = leaf_fences(numbered)
+    # One pack over every tree: each Python task costs a fixed start-up, so
+    # the pack runs one task per partition of ``numbered``, not per tree.
+    packed = pack_leaves(numbered, payload).persist()
 
-    trees, hierarchies = [], []
+    per_tree = []
     for i in range(len(partitions)):
-        tree = numbered.filter(F.col(TREE_COL) == i).select("id", "hkey", payload, "leaf_id")
+        pages = packed.filter(F.col(TREE_COL) == i)
         if parquet_dir is None:
-            tree = tree.persist()
+            pages = pages.persist()
         else:
             path = os.path.join(parquet_dir, f"tree_{i}")
-            # One task writes the one partition that holds the tree.
-            tree.coalesce(1).write.mode("overwrite").parquet(path)
-            # The schema is known, so the read needs no inference job. One
-            # partition keeps the tree whole when its file spans several splits.
-            tree = spark.read.schema(tree.schema).parquet(path).coalesce(1)
-        f = fences[fences[TREE_COL] == i].drop(columns=TREE_COL).reset_index(drop=True)
-        hierarchies.append(FenceHierarchy(f, params.branching))
-        trees.append(tree)
-    leaves = functools.reduce(
-        DataFrame.unionByName,
-        [
-            tree.select(F.lit(t).cast("long").alias(TREE_COL), "id", "hkey", "leaf_id", payload)
-            for t, tree in enumerate(trees)
-        ],
-    ).coalesce(spark.sparkContext.defaultParallelism)
+            # One task writes the tree as one row group, which no byte-range
+            # split of a later read can divide.
+            pages.coalesce(1).write.mode("overwrite").option(
+                "parquet.block.size", _ROW_GROUP_BYTES
+            ).parquet(path)
+            # The schema is known, so the read needs no inference job.
+            pages = spark.read.schema(PAGE_SCHEMA).parquet(path)
+        per_tree.append(pages)
     if parquet_dir is None:
-        # One job over the union fills every tree's cache.
-        leaves.count()
-    # The trees now read their own caches or files.
+        # Each cache keeps the partitions of ``packed``: a union of
+        # single-partition inputs would be zipped into one partition.
+        pages = functools.reduce(DataFrame.unionByName, per_tree)
+    else:
+        pages = spark.read.schema(PAGE_SCHEMA).parquet(
+            *(os.path.join(parquet_dir, f"tree_{i}") for i in range(len(partitions)))
+        )
+    pages = pages.coalesce(spark.sparkContext.defaultParallelism)
+    # In memory, the one fence pass also fills every tree's cache.
+    fences = leaf_fences(pages)
+    # The pages now hold every entry.
     numbered.unpersist()
-    return trees, hierarchies, leaves
+    packed.unpersist()
+
+    hierarchies = [
+        FenceHierarchy(
+            fences[fences[TREE_COL] == i].drop(columns=TREE_COL).reset_index(drop=True),
+            params.branching,
+        )
+        for i in range(len(partitions))
+    ]
+    trees = [unpack_pages(tree, payload) for tree in per_tree]
+    return trees, hierarchies, pages
 
 
 def build_hd_index(
@@ -203,11 +223,12 @@ def build_hd_index(
     """Run Algo 1 over ``data`` — a DataFrame with ``id: long`` and
     ``vec: array<double>`` of length ``params.nu``.
 
-    ``parquet_dir``: when given, each tree is written to
+    ``parquet_dir``: when given, each tree's pages are written to
     ``{parquet_dir}/tree_{i}`` and re-read from disk, and the vectors to
     ``{parquet_dir}/vectors.npy``, read back memory-mapped: the
-    disk-resident path the paper targets. Otherwise the trees stay as
-    cached in-memory DataFrames and the vectors as a driver-side array.
+    disk-resident path the paper targets. Otherwise each tree's pages stay
+    as one cached in-memory DataFrame and the vectors as a driver-side
+    array.
     """
     sc = spark.sparkContext
     data = data.select("id", "vec")
@@ -227,7 +248,7 @@ def build_hd_index(
 
     with_rdist = data.withColumn("rdist", rdist_udf("vec"))
 
-    trees, hierarchies, leaves = build_curve_trees(
+    trees, hierarchies, pages = build_curve_trees(
         spark, with_rdist, params, "rdist", params.leaf_order,
         parquet_dir=parquet_dir,
     )
@@ -238,7 +259,7 @@ def build_hd_index(
         ref_pairwise=euclidean(refs[:, None], refs),
         trees=trees,
         hierarchies=hierarchies,
-        leaves=leaves,
+        pages=pages,
         store=store,
         n=n,
     )

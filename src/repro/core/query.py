@@ -7,13 +7,15 @@ For a batch of queries the three phases of the paper map onto:
    the leaf fences to a centre leaf and widens to the smallest leaf window
    guaranteed to contain the alpha nearest-by-key entries. The
    ``(tree_id, qid, lo_leaf, hi_leaf)`` windows and the query keys are
-   broadcast to one ``mapInPandas`` pass over the index's tree union
-   ``leaves``, in which every tree lies whole in one partition. The kernel
-   gathers one tree's rows at a time and cuts each of its windows once: the
-   alpha rows nearest by exact ``|key - q|`` (int64 limbs of 32 bits, ties
-   by id). No join and no shuffle, but the pass reads every row of every
-   tree: the windows bound what is kept, not what is scanned, so this is
-   not yet the paper's O(log n + alpha/Omega) page reads.
+   broadcast to one ``mapInArrow`` pass over the index's page table
+   ``pages``, one row per leaf, in which every tree lies whole in one
+   partition. The kernel gathers one tree's pages at a time, decodes the
+   pages inside some window from their Arrow buffers, and cuts each window
+   once: the alpha entries nearest by exact ``|key - q|`` (int64 limbs of
+   32 bits, ties by id). No join and no shuffle, but the pass reads every
+   page of every tree: the windows bound what is decoded and kept, not
+   what is scanned, so this is not yet the paper's O(log n + alpha/Omega)
+   page reads.
 2. **filter funnel** — in the same kernel, each window's alpha rows are cut
    to gamma by the triangular bound (Eq. 5) (``tri``), or to beta by it and
    then the beta survivors to gamma by the Ptolemaic bound (Eq. 6)
@@ -35,9 +37,11 @@ from __future__ import annotations
 
 import numpy as np
 import pandas as pd
+import pyarrow as pa
 from pyspark.sql.types import DoubleType, LongType, StructField, StructType
 
 from repro.core.build import HDIndex, VectorStore, subspace_keys
+from repro.core.rdbtree import TREE_COL, binary_values
 from repro.dist import euclidean
 
 __all__ = [
@@ -159,8 +163,13 @@ def key_limbs(keys) -> np.ndarray:
     to L whole 4-byte words, so any key width works."""
     keys = list(keys)
     width = len(keys[0]) if keys else 0
-    packed = np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), width)
-    raw = np.zeros((len(keys), -(-max(width, 1) // 4) * 4), dtype=np.uint8)
+    return _byte_limbs(np.frombuffer(b"".join(keys), np.uint8).reshape(len(keys), width))
+
+
+def _byte_limbs(packed: np.ndarray) -> np.ndarray:
+    """:func:`key_limbs` of keys given as the rows of an (n, width) uint8 array."""
+    n, width = packed.shape
+    raw = np.zeros((n, -(-max(width, 1) // 4) * 4), dtype=np.uint8)
     raw[:, raw.shape[1] - width :] = packed
     return raw.view(">u4").astype(np.int64)
 
@@ -216,40 +225,43 @@ def key_order(limbs: list, ids: np.ndarray) -> np.ndarray:
 
 
 def _tree_runs(batches):
-    """``(tree_id, frame)`` for each run of one tree's rows in a stream of
-    Arrow batches, the run's batches gathered into one frame."""
+    """``(tree_id, table)`` for each run of one tree's pages in a stream of
+    Arrow batches, the run's slices gathered into one table."""
     tree, parts = None, []
-    for pdf in batches:
-        for t, part in pdf.groupby("tree_id", sort=False):
-            if t != tree and parts:
-                yield tree, pd.concat(parts, ignore_index=True)
+    for batch in batches:
+        trees = batch.column(TREE_COL).to_numpy()
+        starts = np.flatnonzero(np.r_[True, trees[1:] != trees[:-1]]) if len(trees) else []
+        for s, e in zip(starts, [*starts[1:], len(trees)]):
+            if trees[s] != tree and parts:
+                yield tree, pa.Table.from_batches(parts)
                 parts = []
-            tree = t
-            parts.append(part)
+            tree = trees[s]
+            parts.append(batch.slice(s, e - s))
     if parts:
-        yield tree, pd.concat(parts, ignore_index=True)
+        yield tree, pa.Table.from_batches(parts)
 
 
-def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, finish, cols=()):
-    """The rows each tree keeps for each query, cut next to the data.
+def curve_candidates(index, queries: np.ndarray, alpha: int, finish, cols=()):
+    """The entries each tree keeps for each query, cut next to the data.
 
     The candidate stage shared by HD-Index and Multicurves. ``index`` has
-    ``params``, ``hierarchies`` and the tree union ``leaves``; ``queries``
-    is a batch that passed :func:`check_batch`. Each (tree, query) pair gets
-    its leaf window from the fence hierarchy, and the windows are broadcast
-    to one ``mapInPandas`` pass over ``leaves``. Each tree must lie whole in
-    one partition of ``leaves``: the kernel gathers a tree's Arrow batches
-    into one frame and raises, naming the tree, when one of its windows
-    does not hold the rows its fences count. Per window it takes the alpha
-    rows nearest by (exact ``|key - q|``, id) and calls ``finish(qid, P)``
-    on their ``payload`` rows P, a (rows, width) matrix in that order;
-    ``finish`` returns the positions of the rows to keep and a dict with one
-    float array per name in ``cols``, aligned with those positions. Keys and
-    payload are decoded only for rows inside some window.
+    ``params``, ``hierarchies`` and the page table ``pages``, one row per
+    leaf; ``queries`` is a batch that passed :func:`check_batch`. Each
+    (tree, query) pair gets its leaf window from the fence hierarchy, and
+    the windows are broadcast to one ``mapInArrow`` pass over ``pages``.
+    Each tree must lie whole in one partition of ``pages``: the kernel
+    gathers a tree's pages into one table and raises, naming the tree, when
+    one of its windows does not hold the entries its fences count. Only the
+    pages inside some window are decoded, straight from their Arrow buffers.
+    Per window it takes the alpha entries nearest by (exact ``|key - q|``,
+    id) and calls ``finish(qid, P)`` on their payload rows P, a (rows,
+    width) float64 matrix in that order; ``finish`` returns the positions of
+    the rows to keep and a dict with one float array per name in ``cols``,
+    aligned with those positions.
 
-    Returns a pandas frame ``(tree_id, qid, id, *cols)`` of the kept rows,
-    sorted by tree_id and qid, each (tree, query) in the order ``finish``
-    kept them.
+    Returns a pandas frame ``(tree_id, qid, id, *cols)`` of the kept
+    entries, sorted by tree_id and qid, each (tree, query) in the order
+    ``finish`` kept them.
     """
     qkeys_per_tree = query_hilbert_keys(index, queries)
     windows = np.array(
@@ -262,40 +274,44 @@ def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, finis
         dtype=np.int64,
     )  # (tree_id, qid, lo_leaf, hi_leaf, rows), sorted by tree_id
     qlimbs = key_limbs(np.concatenate(qkeys_per_tree))
-    b = index.leaves.sparkSession.sparkContext.broadcast((windows, qlimbs))
+    b = index.pages.sparkSession.sparkContext.broadcast((windows, qlimbs))
     schema = StructType(
-        [StructField(c, LongType()) for c in ["tree_id", "qid", "id"]]
+        [StructField(c, LongType()) for c in [TREE_COL, "qid", "id"]]
         + [StructField(c, DoubleType()) for c in cols]
     )
 
     def cut(batches):
         win, qk = b.value
-        for t, pdf in _tree_runs(batches):
+        for t, pages in _tree_runs(batches):
             first, last = np.searchsorted(win[:, 0], [t, t + 1])
             qids, w_lo, w_hi, w_rows = win[first:last, 1:].T
-            leaf = pdf["leaf_id"].to_numpy()
+            leaf = pages.column("leaf_id").to_numpy()
             order = np.argsort(leaf, kind="stable")
+            counts = pages.column("rows").to_numpy()[order]
             lo = np.searchsorted(leaf[order], w_lo, "left")
             hi = np.searchsorted(leaf[order], w_hi, "right")
-            short = np.flatnonzero(hi - lo != w_rows)
+            cum = np.r_[0, np.cumsum(counts)]
+            held = cum[hi] - cum[lo]
+            short = np.flatnonzero(held != w_rows)
             if len(short):
                 w = short[0]
                 raise RuntimeError(
-                    f"tree {t}: the window of query {qids[w]} holds {hi[w] - lo[w]} of its "
-                    f"{w_rows[w]} rows in this partition of leaves; each tree must lie "
+                    f"tree {t}: the window of query {qids[w]} holds {held[w]} of its "
+                    f"{w_rows[w]} rows in this partition of pages; each tree must lie "
                     "whole in one partition"
                 )
-            # Decode only the rows inside some window, kept in leaf order.
+            # Decode only the pages inside some window, kept in leaf order.
             n = len(order) + 1
             inside = np.cumsum(np.bincount(lo, minlength=n) - np.bincount(hi, minlength=n))[:-1] > 0
-            slot = np.cumsum(inside) - 1  # leaf-order position -> decoded row
-            rows = order[inside]
-            keys = key_limbs(pdf["hkey"].to_numpy()[rows])
-            ids = pdf["id"].to_numpy()[rows]
-            P = np.vstack(pdf[payload].to_numpy()[rows])
+            kept_pages = pages.take(order[inside])
+            start = np.r_[0, np.cumsum(counts[inside])]  # decoded page -> first entry
+            slot = np.cumsum(inside) - 1  # leaf-order page -> decoded page
+            ids = binary_values(kept_pages.column("ids"), np.int64)
+            keys = _byte_limbs(binary_values(kept_pages.column("keys"), np.uint8).reshape(len(ids), -1))
+            P = binary_values(kept_pages.column("payload"), np.float64).reshape(len(ids), -1)
             kept, kept_qid, extra = [], [], {c: [] for c in cols}
             for w, qid in enumerate(qids):
-                r = slot[lo[w] : hi[w]]
+                r = np.arange(start[slot[lo[w]]], start[slot[hi[w] - 1] + 1])
                 r = r[key_order(list(key_dist(keys[r], qk[first + w]).T), ids[r])[:alpha]]
                 keep, scores = finish(int(qid), P[r])
                 kept.append(r[keep])
@@ -303,13 +319,13 @@ def curve_candidates(index, queries: np.ndarray, alpha: int, payload: str, finis
                 for c in cols:
                     extra[c].append(scores[c])
             kept = np.concatenate(kept)
-            yield pd.DataFrame(
-                {"tree_id": np.full(len(kept), t), "qid": np.concatenate(kept_qid),
+            yield pa.RecordBatch.from_pydict(
+                {TREE_COL: np.full(len(kept), t), "qid": np.concatenate(kept_qid),
                  "id": ids[kept], **{c: np.concatenate(v) for c, v in extra.items()}}
             )
 
-    got = index.leaves.mapInPandas(cut, schema).toPandas()
-    return got.sort_values(["tree_id", "qid"], kind="stable", ignore_index=True)
+    got = index.pages.mapInArrow(cut, schema).toPandas()
+    return got.sort_values([TREE_COL, "qid"], kind="stable", ignore_index=True)
 
 
 def knn_query(
@@ -366,7 +382,7 @@ def knn_query(
                 "alpha": alpha, "gamma": gamma,
             }
         return result
-    sc = index.leaves.sparkSession.sparkContext
+    sc = index.pages.sparkSession.sparkContext
 
     b_qr = sc.broadcast(euclidean(queries[:, None], index.ref_vectors))  # (Q, m)
     b_rr = sc.broadcast(index.ref_pairwise)
@@ -386,7 +402,7 @@ def knn_query(
         return keep[np.argsort(pto, kind="stable")[:gamma]], {}
 
     # --- alpha nearest by key and the filter funnel, per (tree, query) ------
-    cands = curve_candidates(index, queries, alpha, "rdist", funnel)
+    cands = curve_candidates(index, queries, alpha, funnel)
     pairs = cands[["qid", "id"]].drop_duplicates()
 
     # --- exact re-rank over the candidate union C (kappa <= tau*gamma) ----

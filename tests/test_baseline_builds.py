@@ -1,12 +1,14 @@
-"""Spark jobs per baseline build.
+"""Spark jobs per build, HD-Index's and the baselines'.
 
 C2LSH, QALSH, SRS and OPQ collect their vector store first and learn nu, n
 and the bucket-width sample from it, so no build probes ``data`` for them;
-Multicurves takes n from its fences. The counts are pinned, so a probe job
-that comes back fails here.
+Multicurves takes n from its fences. HD-Index and Multicurves pack their
+pages in the pass that fences them. The counts are pinned, so a probe job
+that comes back, or a pass that grows one, fails here.
 """
 import pytest
 
+from repro.core.build import build_hd_index
 from repro.baselines.c2lsh import build_c2lsh
 from repro.baselines.multicurves import build_multicurves
 from repro.baselines.opq import build_opq
@@ -15,12 +17,16 @@ from repro.baselines.srs import build_srs
 from repro.synth_data import vectors_df
 
 BUILDS = {
-    # method: (build(spark, df, params), Spark jobs it runs on the tiny vectors)
-    "c2lsh": (lambda spark, df, p: build_c2lsh(spark, df, m=16, seed=0), 4),
-    "qalsh": (lambda spark, df, p: build_qalsh(spark, df, m=16, seed=0), 4),
-    "srs": (lambda spark, df, p: build_srs(spark, df, seed=0), 4),
-    "opq": (lambda spark, df, p: build_opq(spark, df, M=2, ksub=64, opq_iters=3, seed=0), 5),
-    "multicurves": (lambda spark, df, p: build_multicurves(spark, df, p), 12),
+    # method: (build(spark, df, params, dir), Spark jobs it runs on the tiny vectors)
+    "hdindex": (lambda spark, df, p, d: build_hd_index(spark, df, p), 12),
+    "hdindex-parquet": (
+        lambda spark, df, p, d: build_hd_index(spark, df, p, parquet_dir=str(d)), 12
+    ),
+    "c2lsh": (lambda spark, df, p, d: build_c2lsh(spark, df, m=16, seed=0), 4),
+    "qalsh": (lambda spark, df, p, d: build_qalsh(spark, df, m=16, seed=0), 4),
+    "srs": (lambda spark, df, p, d: build_srs(spark, df, seed=0), 4),
+    "opq": (lambda spark, df, p, d: build_opq(spark, df, M=2, ksub=64, opq_iters=3, seed=0), 5),
+    "multicurves": (lambda spark, df, p, d: build_multicurves(spark, df, p), 10),
 }
 
 
@@ -35,6 +41,6 @@ def own_df(spark, tiny_xq):
 
 
 @pytest.mark.parametrize("method", list(BUILDS))
-def test_build_spark_jobs(spark, spark_jobs, own_df, tiny_params, method):
+def test_build_spark_jobs(spark, spark_jobs, own_df, tiny_params, tmp_path, method):
     build, jobs = BUILDS[method]
-    assert spark_jobs(lambda: build(spark, own_df, tiny_params)) == jobs
+    assert spark_jobs(lambda: build(spark, own_df, tiny_params, tmp_path / "idx")) == jobs

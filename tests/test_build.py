@@ -131,22 +131,25 @@ def test_parquet_roundtrip(spark, tmp_path):
 
 
 def test_parquet_tree_is_one_file(spark, tmp_path):
-    """Each tree directory holds one Parquet file with all n rows, however
-    many partitions the build ran on: no schema-only files beside it."""
+    """Each tree directory holds one Parquet file of one row group whose
+    pages hold all n entries, however many partitions the build ran on: no
+    schema-only files beside it."""
     X = make_vectors(n=300, nu=8, lo=0, hi=1, n_clusters=4, seed=9)
     p = HDIndexParams(nu=8, domain_lo=0, domain_hi=1, tau=4, omega=4, m=3, alpha=32)
     build_hd_index(spark, vectors_df(spark, X), p, parquet_dir=str(tmp_path / "idx"))
     for t in range(p.tau):
         files = list((tmp_path / "idx" / f"tree_{t}").glob("*.parquet"))
         assert len(files) == 1, files
-        assert pq.ParquetFile(files[0]).metadata.num_rows == 300
+        assert pq.ParquetFile(files[0]).metadata.num_row_groups == 1
+        assert pq.read_table(files[0], columns=["rows"])["rows"].to_numpy().sum() == 300
 
 
 def test_parquet_trees_over_many_row_groups(spark, tmp_path):
-    """Trees written in 64 KiB row groups and read in 64 KiB splits span
-    several splits each, which a plain read would spread over partitions of
-    ``leaves``. The disk build reads each tree back as one partition, so it
-    answers exactly as the in-memory build does."""
+    """With a 64 KiB row-group setting and 64 KiB splits, each tree file
+    spans several splits. The build still writes each tree as one row
+    group, which only one split reads, so every tree lies whole in one
+    partition of ``pages`` and the disk build answers exactly as the
+    in-memory build does."""
     X = make_vectors(n=4000, nu=12, lo=0, hi=1, n_clusters=6, seed=8)
     df = vectors_df(spark, X)
     p = HDIndexParams(nu=12, domain_lo=0, domain_hi=1, tau=3, omega=4, m=5, alpha=200, gamma=50)

@@ -46,7 +46,7 @@ def test_alpha_window_keeps_nearest_keys(request, tiny_xq, tiny_params, which, p
     _, Q = tiny_xq
     lo, hi = tiny_params.domain_lo, tiny_params.domain_hi
     queries = np.vstack([Q[:3], np.full(tiny_params.nu, lo), np.full(tiny_params.nu, hi)])
-    got = curve_candidates(index, queries, alpha, payload, _keep_all)
+    got = curve_candidates(index, queries, alpha, _keep_all)
     assert list(got.columns) == ["tree_id", "qid", "id"]
     qkeys = query_hilbert_keys(index, queries)
     straddles = 0
@@ -163,6 +163,6 @@ def test_tree_split_across_partitions_is_an_error(tiny_index, tiny_xq):
     """Round-robin rows of every tree over 3 partitions: the kernel must
     refuse, naming a tree, rather than cut windows it cannot see whole."""
     _, Q = tiny_xq
-    split = dataclasses.replace(tiny_index, leaves=tiny_index.leaves.repartition(3))
+    split = dataclasses.replace(tiny_index, pages=tiny_index.pages.repartition(3))
     with pytest.raises(Exception, match=r"tree \d+: the window of query \d+ holds"):
         knn_query(split, Q[:2], k=5, alpha=37, gamma=9)

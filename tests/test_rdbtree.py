@@ -4,8 +4,19 @@ import pandas as pd
 import pytest
 from pyspark.sql import functions as F
 
-from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences
+from repro.core.rdbtree import FenceHierarchy, assign_leaves, leaf_fences, pack_leaves
 from repro.oracle import assert_equivalent
+
+
+def _fences_of(numbered):
+    """``leaf_fences`` of rows numbered from hex string keys and a scalar
+    payload, packed into pages of the key bytes and one-value payloads."""
+    return leaf_fences(
+        pack_leaves(
+            numbered.withColumn("hkey", F.unhex("hkey")).withColumn("payload", F.array("payload")),
+            "payload",
+        )
+    )
 
 
 @pytest.fixture(scope="module")
@@ -82,7 +93,7 @@ def test_assign_leaves_key_ranges_disjoint(keyed_df):
     """Key ranges of consecutive leaves do not interleave."""
     df, _ = keyed_df
     out = assign_leaves(df, 43)
-    fences = leaf_fences(out)
+    fences = _fences_of(out)
     for i in range(len(fences) - 1):
         assert fences["max_key"][i] <= fences["min_key"][i + 1]
 
@@ -103,7 +114,7 @@ def test_assign_leaves_rejects_bad_order(keyed_df):
 def test_leaf_fences_shape(keyed_df):
     df, pdf = keyed_df
     out = assign_leaves(df, 100)
-    fences = leaf_fences(out)
+    fences = _fences_of(out)
     assert list(fences.columns) == ["tree_id", "leaf_id", "min_key", "max_key", "count"]
     assert fences["count"].sum() == len(pdf)
     assert (fences["min_key"] <= fences["max_key"]).all()
@@ -140,7 +151,7 @@ def test_numbering_by_tree_equals_per_tree_numbering(spark):
     )
     assert spread == {t: 1 for t in sizes}
     assert both.rdd.getNumPartitions() <= spark.sparkContext.defaultParallelism
-    fences = leaf_fences(both)
+    fences = _fences_of(both)
     rows = both.toPandas()
     for t in sizes:
         alone = assign_leaves(spark.createDataFrame(pdf[pdf["tree_id"] == t]), omega)
@@ -148,7 +159,7 @@ def test_numbering_by_tree_equals_per_tree_numbering(spark):
         got = rows[rows["tree_id"] == t].sort_values("id", ignore_index=True)
         pd.testing.assert_frame_equal(got, want, check_exact=True)
         got_fences = fences[fences["tree_id"] == t].reset_index(drop=True)
-        pd.testing.assert_frame_equal(got_fences, leaf_fences(alone), check_exact=True)
+        pd.testing.assert_frame_equal(got_fences, _fences_of(alone), check_exact=True)
         alone.unpersist()
     both.unpersist()
 
